@@ -186,6 +186,7 @@ int main(int argc, char** argv) {
             "   RNS kernel (no AVX, possibly fewer cores than the paper's CPU);\n"
             " * 'modelled ms' is the paper-calibrated Amdahl model that carries\n"
             "   the published Ryzen numbers and thread-scaling shape;\n"
-            " * CPU watts come from the powertop-calibrated model (DESIGN.md).");
+            " * CPU watts come from the powertop-calibrated model\n"
+            "   (backend::CpuPowerModel).");
   return io.finish() ? 0 : 1;
 }

@@ -90,8 +90,7 @@ Run run_scenario(const bfv::Bfv& scheme, const bfv::RelinKeys& rk, const Scenari
   opts.strategy = sc.strategy;
   opts.max_batch = sc.max_batch;
   opts.relin_keys = &rk;
-  opts.overlap_rounds = sc.overlap;
-  opts.pipeline_depth = sc.depth;
+  opts.pipeline_depth = sc.overlap ? sc.depth : 1;
   opts.placement = sc.placement;
   opts.trace = trace;
   service::EvalService svc(scheme, farm, opts);

@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   }
   t.print();
   std::puts("Latency: structural cycle model (calibrated constants asserted by "
-            "tests/chip/test_mdmc.cpp).\nPower: event-energy model fit; see "
-            "DESIGN.md substitution register.");
+            "tests/chip/test_mdmc.cpp).\nPower: event-energy model fit to the "
+            "Table V measurements (tests/chip/test_table5_power.cpp).");
   return io.finish() ? 0 : 1;
 }

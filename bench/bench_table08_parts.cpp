@@ -38,7 +38,7 @@ int main() {
   t.print();
   std::puts("Memory areas derive from bit-cell/periphery constants solved from\n"
             "the published macro inventory; logic areas from NAND2-equivalent\n"
-            "gate counts fitted to the synthesis report (DESIGN.md).  Delays\n"
+            "gate counts fitted to the synthesis report.  Delays\n"
             "are the pre-layout HVT-corner paths the paper reports; they close\n"
             "to 4 ns after the VT migration shown in Table III.");
   return 0;

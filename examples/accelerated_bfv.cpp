@@ -43,8 +43,8 @@ int main() {
     identical = identical && sw.c[i].towers == hw.c[i].towers;
   std::printf("ciphertexts bit-identical: %s\n", identical ? "yes" : "NO");
 
-  std::printf("\nchip work: %u towers x Algorithm 3 = %llu cycles (%.3f ms at "
-              "250 MHz)\n", rep.towers,
+  std::printf("\nchip work: %llu towers x Algorithm 3 = %llu cycles (%.3f ms at "
+              "250 MHz)\n", static_cast<unsigned long long>(rep.ring_configs),
               static_cast<unsigned long long>(rep.chip_cycles), rep.chip_ms);
   std::printf("SPI transport: %.3f ms (7 polynomials per tower)\n",
               rep.io_seconds * 1e3);

@@ -66,8 +66,8 @@ class CpuTensorKernel {
   Executor exec_;
 };
 
-/// Calibrated CPU power model (substitute for powertop on the Ryzen 5800H;
-/// see DESIGN.md).  Anchors: 1 thread at (n=2^12, 2 towers) -> 1.48 W and
+/// Calibrated CPU power model (substitute for powertop on the Ryzen 5800H).
+/// Anchors: 1 thread at (n=2^12, 2 towers) -> 1.48 W and
 /// (n=2^13, 4 towers) -> 2.3 W; threads add near-linearly above idle.
 struct CpuPowerModel {
   double idle_w = 0.55;

@@ -1,6 +1,6 @@
 // Structural parameters of the fabricated CoFHEE SoC (paper Section III)
 // plus the cycle-model constants calibrated against the silicon
-// measurements of Table V (see DESIGN.md "Cycle-model calibration").
+// measurements of Table V (the cycle model is described in chip/mdmc.hpp).
 #pragma once
 
 #include <cstdint>
@@ -55,7 +55,7 @@ struct ChipConfig {
   unsigned addsub_latency = 1;
   unsigned mem_read_latency = 2; // ~3.1 ns read path at 4 ns cycle
 
-  // --- Calibrated cycle-model constants (DESIGN.md Section 3) ---
+  // --- Calibrated cycle-model constants (see chip/mdmc.hpp) ---
   // Per-NTT-stage overhead: address-unit reconfiguration plus pipeline
   // fill/drain.  NTT(n) = (n/2)log2(n) + stage_overhead*log2(n) + 1.
   unsigned stage_overhead = 22;
@@ -79,8 +79,8 @@ struct ChipConfig {
 };
 
 /// Per-event energies in picojoules, fitted to the silicon power
-/// measurements of Table V (GF55 LPE, 1.2 V core).  See DESIGN.md; the
-/// power-model test asserts the fit stays within 10% of every Table V row.
+/// measurements of Table V (GF55 LPE, 1.2 V core).  The power-model test
+/// asserts the fit stays within 10% of every Table V row.
 struct EnergyTable {
   double static_pj_per_cycle = 12.0;  // clock tree + leakage + control
   double mult_fwd_pj = 48.5;          // 128-bit Barrett multiply (CT dataflow)

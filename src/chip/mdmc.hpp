@@ -4,8 +4,8 @@
 // cycle, streams data between the SRAM banks and the PE with II = 1, and
 // raises the op-done interrupt on completion.  This model executes the
 // command's arithmetic bit-exactly against the memory contents while
-// charging cycles with the calibrated structural model (DESIGN.md
-// Section 3, asserted against Table V by tests):
+// charging cycles with the calibrated structural model (asserted against
+// Table V by tests/chip/test_mdmc.cpp):
 //
 //   NTT(n)   = (n/2)*log2(n)*II + stage_overhead*log2(n) + 1
 //   iNTT(n)  = NTT(n) + (n + pointwise_fill) + n/dma_words_per_cycle

@@ -20,23 +20,30 @@ poly::Coeffs<nt::u64> narrow(const std::vector<u128>& w) {
   return t;
 }
 
-/// RAII span over one chip phase: the destructor emits a simulated-axis
-/// "phase" span covering exactly the io + compute seconds the phase added
-/// to the report -- unconditionally, including during exception unwinding,
-/// because a faulted phase's partial counters also reach ServiceStats (the
-/// service feeds the partial report to note_chip_session).  That is what
-/// keeps trace phase-track totals equal to stats io + compute.
-class PhaseTrace {
+/// RAII scope of one chip phase.  The destructor adds the driver's
+/// transport-counter delta over the phase to the report and emits a
+/// simulated-axis "phase" span covering exactly the io + compute seconds
+/// the phase added -- unconditionally, including during exception
+/// unwinding, because a faulted phase's partial counters also reach
+/// ServiceStats.  That is what keeps trace phase-track totals equal to
+/// stats io + compute.
+class PhaseScope {
  public:
-  PhaseTrace(ChipMulReport* r, const char* name)
+  PhaseScope(ChipMulReport* r, const HostDriver& drv, const char* name)
       : r_(r),
+        drv_(drv),
         name_(name),
+        t0_(drv.transport()),
         io0_(r != nullptr ? r->io_seconds : 0),
         ms0_(r != nullptr ? r->chip_ms : 0) {}
-  PhaseTrace(const PhaseTrace&) = delete;
-  PhaseTrace& operator=(const PhaseTrace&) = delete;
-  ~PhaseTrace() {
-    if (r_ == nullptr || r_->trace == nullptr) return;
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+  ~PhaseScope() {
+    if (r_ == nullptr) return;
+    const ChipCounters& t = drv_.transport();
+    ChipCounters::for_each_counter(
+        [&](const char*, const char*, auto m) { r_->*m += t.*m - t0_.*m; });
+    if (r_->trace == nullptr) return;
     const double io = r_->io_seconds - io0_;
     const double compute = (r_->chip_ms - ms0_) * 1e-3;
     if (io + compute <= 0) return;  // phase faulted before any accounting
@@ -47,33 +54,10 @@ class PhaseTrace {
 
  private:
   ChipMulReport* r_;
-  const char* name_;
-  double io0_, ms0_;
-};
-
-/// RAII delta of the driver's transport-optimization counters over one
-/// phase: whatever the driver accumulated (batched register writes,
-/// twiddle-cache hits, compressed-key wire savings) lands in the report --
-/// including the partial counters of a phase that faulted mid-way, matching
-/// how PhaseTrace and ServiceStats account partial phases.
-class TransportDelta {
- public:
-  TransportDelta(ChipMulReport* r, const HostDriver& drv)
-      : r_(r), drv_(drv), t0_(drv.transport()) {}
-  TransportDelta(const TransportDelta&) = delete;
-  TransportDelta& operator=(const TransportDelta&) = delete;
-  ~TransportDelta() {
-    if (r_ == nullptr) return;
-    const TransportCounters& t = drv_.transport();
-    r_->batched_writes += t.batched_writes - t0_.batched_writes;
-    r_->twiddle_cache_hits += t.twiddle_cache_hits - t0_.twiddle_cache_hits;
-    r_->key_bytes_saved += t.key_bytes_saved - t0_.key_bytes_saved;
-  }
-
- private:
-  ChipMulReport* r_;
   const HostDriver& drv_;
-  TransportCounters t0_;
+  const char* name_;
+  ChipCounters t0_;
+  double io0_, ms0_;
 };
 
 }  // namespace
@@ -107,8 +91,7 @@ EvalMultOperands ChipBfvEvaluator::prepare_square(const bfv::Bfv& bfv,
 
 void ChipBfvEvaluator::configure_tower(HostDriver& drv, const bfv::Bfv& bfv,
                                        std::size_t tower, ChipMulReport* report) {
-  const PhaseTrace pt(report, "configure_tower");
-  const TransportDelta td(report, drv);
+  const PhaseScope phase(report, drv, "configure_tower");
   const auto& ctx = bfv.context();
   const std::size_t n = ctx.n();
   if (2 * n > drv.chip().config().bank_words)
@@ -118,14 +101,13 @@ void ChipBfvEvaluator::configure_tower(HostDriver& drv, const bfv::Bfv& bfv,
                                        /*timed=*/true);
   if (report != nullptr) {
     report->io_seconds += io;
-    ++report->towers;
+    ++report->ring_configs;
   }
 }
 
 void ChipBfvEvaluator::load_tower(HostDriver& drv, const EvalMultOperands& ops,
                                   std::size_t tower, ChipMulReport* report) {
-  const PhaseTrace pt(report, "load_tower");
-  const TransportDelta td(report, drv);
+  const PhaseScope phase(report, drv, "load_tower");
   double io = 0;
   io += drv.load_polynomial(Bank::kSp0, 0, widen(ops.a0.towers[tower]));
   io += drv.load_polynomial(Bank::kSp1, 0, widen(ops.a1.towers[tower]));
@@ -150,8 +132,7 @@ void ChipBfvEvaluator::load_tower(HostDriver& drv, const EvalMultOperands& ops,
 }
 
 void ChipBfvEvaluator::execute_tower(HostDriver& drv, ChipMulReport* report) {
-  const PhaseTrace pt(report, "execute_tower");
-  const TransportDelta td(report, drv);
+  const PhaseScope phase(report, drv, "execute_tower");
   const auto r = drv.ciphertext_mul();
   if (report != nullptr) {
     report->chip_cycles += r.compute_cycles;
@@ -160,7 +141,7 @@ void ChipBfvEvaluator::execute_tower(HostDriver& drv, ChipMulReport* report) {
 }
 
 TowerTensor ChipBfvEvaluator::read_tower(HostDriver& drv, ChipMulReport* report) {
-  const PhaseTrace pt(report, "read_tower");
+  const PhaseScope phase(report, drv, "read_tower");
   const std::size_t n = drv.n();
   TowerTensor t;
   double io = 0;
@@ -224,8 +205,7 @@ std::vector<RelinTowerAcc> ChipBfvEvaluator::relin_tower_batch(
     HostDriver& drv, const bfv::Bfv& bfv, const std::vector<const RelinOperands*>& group,
     const bfv::RelinKeys& rk, std::size_t tower, RelinKeyCache* cache,
     ChipMulReport* report) {
-  const PhaseTrace pt(report, "relin_tower");
-  const TransportDelta td(report, drv);
+  const PhaseScope phase(report, drv, "relin_tower");
   const auto& ring = bfv.context().q_basis().tower(tower);
   std::vector<RelinTowerAcc> accs;
   accs.reserve(group.size());

@@ -40,42 +40,16 @@
 
 namespace cofhee::driver {
 
-/// Per-session accounting of one chip's work, split along the paper's
-/// compute-vs-transport axis.  All times are simulated (cycle model + serial
-/// link byte counts), never host wall clock.
-struct ChipMulReport {
-  /// PE cycles at the configured clock (250 MHz default).
-  std::uint64_t chip_cycles = 0;
-  /// chip_cycles converted to milliseconds.
+/// Accounting of one chip session, split along the paper's
+/// compute-vs-transport axis: the counter rows of driver/chip_counters.hpp
+/// plus the phases' compute tally and an optional trace sink.  All times
+/// are simulated (cycle model + serial-link byte counts), never host wall
+/// clock.
+struct ChipMulReport : ChipCounters {
+  /// Compute of the phases so far: chip_cycles at the configured clock
+  /// (250 MHz default), in milliseconds.  The service folds it into
+  /// compute_seconds when it closes the session.
   double chip_ms = 0;
-  /// Serial-link transport seconds: ring-reconfiguration register writes +
-  /// twiddle ROM preload + polynomial upload/readback.
-  double io_seconds = 0;
-  /// Ring configurations performed (one per tower visited).
-  unsigned towers = 0;
-  /// Algorithm-2 key-switch PolyMuls executed (relinearization only).
-  unsigned ks_products = 0;
-  /// Relin-key tower uploads actually paid over the serial link.
-  std::uint64_t key_uploads = 0;
-  /// Relin-key tower uploads skipped because the key was already resident
-  /// in SP1 (batch-aware key caching; key_uploads + key_cache_hits equals
-  /// the key loads a cache-less session would pay).
-  std::uint64_t key_cache_hits = 0;
-  /// Operand uploads skipped because the polynomial was already resident in
-  /// an SP bank and was duplicated by on-chip DMA instead of re-sent over
-  /// the serial link (the squaring scratch-reuse hint: B == A, so B0/B1 are
-  /// synthesized from SP0/SP1 rather than uploaded into SP2/SP3).
-  std::uint64_t sram_reuses = 0;
-  /// Register writes that traveled inside coalesced burst frames instead of
-  /// standalone write transactions (link batching; delta of the driver's
-  /// TransportCounters over this session's phases).
-  std::uint64_t batched_writes = 0;
-  /// Timed ring configurations skipped because the chip's twiddle ROM
-  /// already held the requested ring (cross-session twiddle-ROM cache).
-  std::uint64_t twiddle_cache_hits = 0;
-  /// Wire bytes avoided by shipping relin-key `a` towers as 17-byte seed
-  /// frames instead of full coefficient bursts.
-  std::uint64_t key_bytes_saved = 0;
   /// Optional trace sink: when set, every phase emits a simulated-axis span
   /// (cat "phase") on chip `trace_chip`'s phase track covering exactly the
   /// io + compute seconds the phase added to this report -- including
@@ -88,17 +62,8 @@ struct ChipMulReport {
 
   /// Accumulate another session's counters into this one.
   ChipMulReport& operator+=(const ChipMulReport& o) {
-    chip_cycles += o.chip_cycles;
+    ChipCounters::operator+=(o);
     chip_ms += o.chip_ms;
-    io_seconds += o.io_seconds;
-    towers += o.towers;
-    ks_products += o.ks_products;
-    key_uploads += o.key_uploads;
-    key_cache_hits += o.key_cache_hits;
-    sram_reuses += o.sram_reuses;
-    batched_writes += o.batched_writes;
-    twiddle_cache_hits += o.twiddle_cache_hits;
-    key_bytes_saved += o.key_bytes_saved;
     return *this;
   }
 };
@@ -231,7 +196,7 @@ class ChipBfvEvaluator {
 
   /// Program `drv`'s chip for extended tower `tower`: ring registers +
   /// twiddle ROM over the serial link (timed into report->io_seconds, and
-  /// counted in report->towers).  Throws std::invalid_argument when the
+  /// counted in report->ring_configs).  Throws std::invalid_argument when the
   /// ring does not fit the chip's bank slots.
   static void configure_tower(HostDriver& drv, const bfv::Bfv& bfv, std::size_t tower,
                               ChipMulReport* report);
@@ -266,7 +231,8 @@ class ChipBfvEvaluator {
 
   /// Program `drv`'s chip for Q-basis tower `tower` (Q is a prefix of the
   /// extended basis, so the ring image matches configure_tower at the same
-  /// index).  Timed into report->io_seconds, counted in report->towers.
+  /// index).  Timed into report->io_seconds, counted in
+  /// report->ring_configs.
   /// Throws std::invalid_argument on a tower index outside the Q basis.
   static void configure_relin_tower(HostDriver& drv, const bfv::Bfv& bfv,
                                     std::size_t tower, ChipMulReport* report);

@@ -69,39 +69,12 @@ void export_service_stats(const service::ServiceStats& st, MetricsRegistry& reg)
   c("cofhee_service_overlapped_rounds_total",
     "Rounds whose host prep overlapped a prior chip stage.",
     static_cast<double>(st.overlapped_rounds));
-  c("cofhee_service_sessions_total", "Chip sessions, summed over chips.",
-    static_cast<double>(st.sessions));
-  c("cofhee_service_ks_products_total", "Algorithm-2 key-switch PolyMuls.",
-    static_cast<double>(st.ks_products));
-  c("cofhee_service_key_uploads_total", "Relin-key tower uploads paid.",
-    static_cast<double>(st.key_uploads));
-  c("cofhee_service_key_cache_hits_total",
-    "Relin-key tower uploads skipped by the batch-aware key cache.",
-    static_cast<double>(st.key_cache_hits));
-  c("cofhee_service_sram_reuses_total",
-    "Operand uploads replaced by on-chip DMA duplication.",
-    static_cast<double>(st.sram_reuses));
-  c("cofhee_service_batched_writes_total",
-    "Register writes coalesced into burst frames by link batching.",
-    static_cast<double>(st.batched_writes));
-  c("cofhee_service_twiddle_cache_hits_total",
-    "Ring configurations skipped by the twiddle-ROM cache.",
-    static_cast<double>(st.twiddle_cache_hits));
-  c("cofhee_service_key_bytes_saved_total",
-    "Wire bytes saved by seed-compressed relin-key uploads.",
-    static_cast<double>(st.key_bytes_saved));
   c("cofhee_service_faults_injected_total", "Injected faults the links fired.",
     static_cast<double>(st.faults_injected));
   c("cofhee_service_retries_total", "Intra-stage retries (items re-placed).",
     static_cast<double>(st.retries));
   c("cofhee_service_requeues_total", "Round-level requeues after exhausted retries.",
     static_cast<double>(st.requeues));
-  c("cofhee_service_quarantines_total", "Chips quarantined after consecutive faults.",
-    static_cast<double>(st.quarantines));
-  c("cofhee_service_readmissions_total", "Quarantined chips re-admitted by a probe.",
-    static_cast<double>(st.readmissions));
-  c("cofhee_service_probes_total", "Health probes sent to quarantined chips.",
-    static_cast<double>(st.probes));
   c("cofhee_service_probe_failures_total", "Probes that faulted or mis-read.",
     static_cast<double>(st.probe_failures));
   c("cofhee_service_stage_timeouts_total",
@@ -123,11 +96,7 @@ void export_service_stats(const service::ServiceStats& st, MetricsRegistry& reg)
     "Requests rejected because their batch could never fit the queue.",
     static_cast<double>(st.rejected_batch_too_large));
 
-  // Time totals (the three axes; see service/service_stats.hpp).
-  c("cofhee_service_io_seconds_total",
-    "Simulated serial-link transport, summed over chips.", st.io_seconds);
-  c("cofhee_service_compute_seconds_total",
-    "Simulated chip compute, summed over chips.", st.compute_seconds);
+  // Modeled host time totals (simulated; see service/service_stats.hpp).
   c("cofhee_service_sim_host_prep_seconds_total",
     "Modeled host time in pre-chip phases.", st.sim_host_prep_seconds);
   c("cofhee_service_sim_host_finish_seconds_total",
@@ -157,58 +126,23 @@ void export_service_stats(const service::ServiceStats& st, MetricsRegistry& reg)
   g("cofhee_service_active_seconds",
     "Wall seconds from first submit to last completion.", st.active_seconds);
 
-  // Per-chip breakdowns.
+  // Chip counter rows (driver/chip_counters.hpp): the farm-wide sum, then
+  // one instance per chip.
+  driver::ChipCounters::for_each_counter([&](const char* family, const char* help,
+                                             auto m) {
+    reg.counter(std::string("cofhee_service_") + family,
+                std::string(help) + " Summed over chips.")
+        .set(static_cast<double>(st.*m));
+    for (std::size_t i = 0; i < st.per_chip.size(); ++i)
+      reg.counter(std::string("cofhee_chip_") + family, help,
+                  {{"chip", std::to_string(i)}})
+          .set(static_cast<double>(st.per_chip[i].*m));
+  });
+
+  // Per-chip health gauges.
   for (std::size_t i = 0; i < st.per_chip.size(); ++i) {
     const service::ChipStats& cs = st.per_chip[i];
     const Labels chip{{"chip", std::to_string(i)}};
-    const auto cc = [&](const char* name, const char* help, double v) {
-      reg.counter(name, help, chip).set(v);
-    };
-    cc("cofhee_chip_sessions_total", "Sessions this chip ran.",
-       static_cast<double>(cs.sessions));
-    cc("cofhee_chip_placements_total", "Work items placed on this chip.",
-       static_cast<double>(cs.placements));
-    cc("cofhee_chip_requests_total", "Requests this chip touched.",
-       static_cast<double>(cs.requests));
-    cc("cofhee_chip_tower_runs_total", "Algorithm-3 tower executions.",
-       static_cast<double>(cs.tower_runs));
-    cc("cofhee_chip_relin_tower_runs_total", "Relinearization tower runs.",
-       static_cast<double>(cs.relin_tower_runs));
-    cc("cofhee_chip_ks_products_total", "Key-switch PolyMuls on this chip.",
-       static_cast<double>(cs.ks_products));
-    cc("cofhee_chip_key_uploads_total", "Relin-key tower uploads paid.",
-       static_cast<double>(cs.key_uploads));
-    cc("cofhee_chip_key_cache_hits_total", "Relin-key uploads skipped by the cache.",
-       static_cast<double>(cs.key_cache_hits));
-    cc("cofhee_chip_ring_configs_total", "Ring reconfigurations paid.",
-       static_cast<double>(cs.ring_configs));
-    cc("cofhee_chip_sram_reuses_total", "Uploads turned into on-chip DMA copies.",
-       static_cast<double>(cs.sram_reuses));
-    cc("cofhee_chip_batched_writes_total",
-       "Register writes coalesced into burst frames.",
-       static_cast<double>(cs.batched_writes));
-    cc("cofhee_chip_twiddle_cache_hits_total",
-       "Ring configurations skipped by the twiddle-ROM cache.",
-       static_cast<double>(cs.twiddle_cache_hits));
-    cc("cofhee_chip_key_bytes_saved_total",
-       "Wire bytes saved by seed-compressed key uploads.",
-       static_cast<double>(cs.key_bytes_saved));
-    cc("cofhee_chip_faults_total", "Typed faults this chip surfaced.",
-       static_cast<double>(cs.faults));
-    cc("cofhee_chip_quarantines_total", "Times this chip was quarantined.",
-       static_cast<double>(cs.quarantines));
-    cc("cofhee_chip_readmissions_total", "Times this chip was re-admitted.",
-       static_cast<double>(cs.readmissions));
-    cc("cofhee_chip_probes_total", "Probes sent to this chip.",
-       static_cast<double>(cs.probes));
-    cc("cofhee_chip_cycles_total", "PE cycles at the configured clock.",
-       static_cast<double>(cs.chip_cycles));
-    cc("cofhee_chip_io_seconds_total", "Simulated serial-link transport.",
-       cs.io_seconds);
-    cc("cofhee_chip_compute_seconds_total", "Simulated chip compute.",
-       cs.compute_seconds);
-    cc("cofhee_chip_busy_wall_seconds_total", "Wall seconds inside sessions.",
-       cs.busy_wall_seconds);
     reg.gauge("cofhee_chip_ewma_unit_cost_seconds",
               "EWMA simulated seconds per work item (feeds placement).", chip)
         .set(cs.ewma_unit_cost);

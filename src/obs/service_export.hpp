@@ -7,8 +7,11 @@
 //
 //   cofhee_service_<counter>_total           service-wide monotonic counts
 //   cofhee_service_<span>_seconds            simulated / wall time totals
-//   cofhee_chip_<counter>{chip="C"}          per-chip breakdowns, including
-//                                            ewma_unit_cost_seconds and the
+//   cofhee_service_<row>, cofhee_chip_<row>{chip="C"}
+//                                            each driver/chip_counters.hpp
+//                                            row: the farm-wide sum and the
+//                                            per-chip value
+//   cofhee_chip_<gauge>{chip="C"}            ewma_unit_cost_seconds and the
 //                                            quarantined 0/1 gauge
 //   cofhee_class_<counter>{class="high|normal|low"}
 //                                            per-priority-class counts plus

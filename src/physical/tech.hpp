@@ -3,7 +3,7 @@
 // the comparison node (Section VII: area / 16.7, critical path / 3.7).
 // Constants are calibrated against the published silicon data (Tables IV,
 // VIII); they are a substitute for the foundry PDK, which cannot be
-// shipped (see DESIGN.md substitution register).
+// shipped.
 #pragma once
 
 namespace cofhee::physical {

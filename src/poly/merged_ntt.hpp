@@ -5,10 +5,10 @@
 // a single command performs the full negacyclic transform -- the ciphertext
 // multiplication of Algorithm 3 then costs exactly 4 NTT + 4 Hadamard +
 // 1 add + 3 iNTT commands, which is what the Table V / Fig. 6 latencies
-// decompose into (see DESIGN.md Section 3).  The twiddle ROM holds the n
-// bit-reverse-ordered psi powers; inverse twiddles are derived from the
-// same table through the mirror identity psi^-e = -psi^(n-e) (paper
-// Section VIII-B: "CoFHEE uses the same twiddle factors for both
+// decompose into (see the cycle model in chip/mdmc.hpp).  The twiddle ROM
+// holds the n bit-reverse-ordered psi powers; inverse twiddles are derived
+// from the same table through the mirror identity psi^-e = -psi^(n-e)
+// (paper Section VIII-B: "CoFHEE uses the same twiddle factors for both
 // operations"), with the iNTT's DMA-assisted reorder pass doing the
 // derivation on silicon.
 #pragma once

@@ -4,8 +4,8 @@
 // discrete Gaussian.  We use a centered binomial distribution with eta = 21
 // (sigma = sqrt(eta/2) ~ 3.24, matching SEAL's sigma = 3.2 within 2%) as the
 // Gaussian stand-in -- a standard, constant-time-friendly substitution also
-// used by Kyber; recorded in DESIGN.md.  All sampling is deterministic from
-// a seed so every experiment is reproducible.
+// used by Kyber.  All sampling is deterministic from a seed so every
+// experiment is reproducible.
 #pragma once
 
 #include <cstdint>

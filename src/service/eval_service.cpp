@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -44,7 +45,6 @@ EvalService::EvalService(const bfv::Bfv& scheme, ChipFarm& farm, ServiceOptions 
     : scheme_(scheme),
       farm_(farm),
       opts_(opts),
-      depth_(1),
       exec_(opts.pooled_dispatch && farm.size() > 1
                 ? backend::ExecPolicy::pooled(farm.size())
                 : backend::ExecPolicy::serial()),
@@ -88,10 +88,8 @@ EvalService::EvalService(const bfv::Bfv& scheme, ChipFarm& farm, ServiceOptions 
   if (opts_.max_tracked_tenants == 0) opts_.max_tracked_tenants = 1;
   if (opts_.host_coeff_ops_per_sec <= 0) opts_.host_coeff_ops_per_sec = 250e6;
   if (opts_.probe_interval_rounds == 0) opts_.probe_interval_rounds = 1;
-  opts_.cost_ewma_alpha = std::clamp(opts_.cost_ewma_alpha, 0.0, 1.0);
   health_.resize(farm_.size());
   tenancy_enabled_ = opts_.tenancy.enabled();
-  depth_ = opts_.overlap_rounds ? opts_.pipeline_depth : 1;
   stats_.per_chip.resize(farm_.size());
   stats_.per_class.resize(kNumPriorities);
   class_latency_.resize(kNumPriorities);
@@ -280,6 +278,7 @@ ServiceStats EvalService::stats() const {
     for (std::size_t c = 0; c < farm_.size(); ++c) {
       s.per_chip[c].ewma_unit_cost = chip_unit_cost_[c];
       s.per_chip[c].quarantined = health_[c].quarantined;
+      s += s.per_chip[c];  // the farm-wide counter rows are per-chip sums
     }
     s.max_class_skip = std::max(s.max_class_skip, queue_.max_skip_observed());
     for (std::size_t c = 0; c < kNumPriorities; ++c)
@@ -357,11 +356,14 @@ EvalService::TenantAgg& EvalService::tenant_agg(std::uint64_t tenant) {
 }
 
 void EvalService::dispatcher_loop() {
-  // K-slot session ring: up to depth_ - 1 sessions keep their chip stages
-  // in flight (chained back-to-back, since the chips are an exclusive
+  // K-slot session ring: up to K - 1 sessions keep their chip stages in
+  // flight (chained back-to-back, since the chips are an exclusive
   // resource) while this thread prepares new rounds ahead of them and
-  // defers their finishes.  depth_ == 2 is the classic two-slot double
-  // buffer; depth_ == 1 runs every phase back-to-back.
+  // defers their finishes.  K == 2 is the classic two-slot double buffer;
+  // K == 1 runs every phase back-to-back: its chip stage is deferred and
+  // runs on this thread when retire_oldest waits for it.
+  const std::size_t depth = opts_.pipeline_depth;
+  const auto launch = depth > 1 ? std::launch::async : std::launch::deferred;
   std::deque<std::unique_ptr<Session>> ring;
   std::shared_future<void> chip_tail;  // most recently launched chip stage
   auto chip_stage_guarded = [this](Session& s) {
@@ -438,34 +440,19 @@ void EvalService::dispatcher_loop() {
           stats_.overlap_wall_seconds += prep_wall;
         }
       }
-      if (depth_ > 1) {
-        // Chain this round's chip stage behind the previous one (chips are
-        // exclusive) and slot the session into the ring.
-        Session* raw = cur.get();
-        std::shared_future<void> prev = chip_tail;
-        cur->chip = std::async(std::launch::async,
-                               [chip_stage_guarded, raw, prev] {
-                                 if (prev.valid()) prev.wait();
-                                 chip_stage_guarded(*raw);
-                               })
-                        .share();
-        chip_tail = cur->chip;
-        ring.push_back(std::move(cur));
-        while (ring.size() > depth_ - 1) retire_oldest();
-      } else {
-        chip_stage_guarded(*cur);
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          const double start = std::max(cur->model_ready, model_chip_);
-          if (opts_.trace != nullptr && cur->sim_chip > 0)
-            opts_.trace->span_sim_at(obs::TraceRecorder::kSimTrackChipModel,
-                                     "model.chip", "model", start, cur->sim_chip);
-          cur->model_chip_end = start + cur->sim_chip;
-          model_chip_ = cur->model_chip_end;
-          stats_.sim_chip_round_seconds += cur->sim_chip;
-        }
-        finish_session(*cur, false);
-      }
+      // Chain this round's chip stage behind the previous one (chips are
+      // exclusive) and slot the session into the ring.
+      Session* raw = cur.get();
+      std::shared_future<void> prev = chip_tail;
+      cur->chip = std::async(launch,
+                             [chip_stage_guarded, raw, prev] {
+                               if (prev.valid()) prev.wait();
+                               chip_stage_guarded(*raw);
+                             })
+                      .share();
+      chip_tail = cur->chip;
+      ring.push_back(std::move(cur));
+      while (ring.size() > depth - 1) retire_oldest();
     } else {
       // Queue ran dry (or shutdown): drain one pipelined session, then
       // re-check for new arrivals.
@@ -568,12 +555,20 @@ void EvalService::run_chip_stage(Session& s) {
   for (std::size_t r = 0; r < count; ++r)
     if (s.errs[r] == nullptr && s.round[r].req.kind != RequestKind::kRelinearize)
       mult_live.push_back(r);
-  if (!mult_live.empty()) {
-    if (opts_.strategy == Strategy::kBatchPerChip)
-      run_mult_batch_per_chip(s, mult_live, chip_sim_a);
-    else
-      run_mult_shard_towers(s, mult_live, chip_sim_a);
-  }
+  if (!mult_live.empty())
+    run_stage(s, mult_live, ctx.ext_basis().size(), chip_sim_a,
+              [&](std::size_t c, std::size_t tw, const std::vector<std::size_t>& reqs,
+                  driver::ChipMulReport& rep) {
+                auto& drv = farm_.driver(c);
+                key_caches_[c].invalidate();  // tensor uploads clobber SP1
+                ChipBfvEvaluator::configure_tower(drv, scheme_, tw, &rep);
+                for (std::size_t r : reqs) {
+                  ChipBfvEvaluator::load_tower(drv, s.slots[r].mult, tw, &rep);
+                  ChipBfvEvaluator::execute_tower(drv, &rep);
+                  s.slots[r].tensors[tw] = ChipBfvEvaluator::read_tower(drv, &rep);
+                  ++rep.tower_runs;
+                }
+              });
 
   // Mid-round host work (kMultRelin): reassemble the tensor, t/q-round it
   // to a 3-element ciphertext, digit-decompose c2 for the key switch.
@@ -608,10 +603,22 @@ void EvalService::run_chip_stage(Session& s) {
       relin_live.push_back(r);
   if (!relin_live.empty()) {
     for (std::size_t r : relin_live) s.slots[r].relin_accs.resize(ctx.q_basis().size());
-    if (opts_.strategy == Strategy::kBatchPerChip)
-      run_relin_batch_per_chip(s, relin_live, chip_sim_b);
-    else
-      run_relin_shard_towers(s, relin_live, chip_sim_b);
+    run_stage(s, relin_live, ctx.q_basis().size(), chip_sim_b,
+              [&](std::size_t c, std::size_t tw, const std::vector<std::size_t>& reqs,
+                  driver::ChipMulReport& rep) {
+                auto& drv = farm_.driver(c);
+                // One key-switch group per tower: the batched key switch
+                // shares key uploads across it (SP1 key cache).
+                std::vector<const driver::RelinOperands*> group;
+                group.reserve(reqs.size());
+                for (std::size_t r : reqs) group.push_back(&s.slots[r].relin);
+                ChipBfvEvaluator::configure_relin_tower(drv, scheme_, tw, &rep);
+                auto accs = ChipBfvEvaluator::relin_tower_batch(
+                    drv, scheme_, group, *opts_.relin_keys, tw, &key_caches_[c], &rep);
+                for (std::size_t j = 0; j < reqs.size(); ++j)
+                  s.slots[reqs[j]].relin_accs[tw] = std::move(accs[j]);
+                rep.relin_tower_runs += reqs.size();
+              });
     // Host-side accumulation of the read-back key-switch products runs
     // inside the sessions (pointwise adds per digit, component, tower).
     stage_host_ops += static_cast<double>(relin_live.size()) * 2.0 * n * qt * nd;
@@ -790,14 +797,17 @@ std::vector<std::vector<std::size_t>> EvalService::place_items(
   return mine;
 }
 
-template <typename Work>
+template <typename TowerBody>
 void EvalService::run_stage(Session& s, const std::vector<std::size_t>& live,
-                            std::vector<double>& chip_sim, std::size_t items,
-                            bool per_item_errors, Work&& work) {
-  // Stage-local item ids (requests under the batch strategies, towers under
-  // the shard strategies) still waiting for a successful chip share.
-  std::vector<std::size_t> todo(items);
-  for (std::size_t i = 0; i < items; ++i) todo[i] = i;
+                            std::size_t towers, std::vector<double>& chip_sim,
+                            TowerBody&& tower_body) {
+  // Stage-local item ids still waiting for a successful chip share: towers
+  // under kShardTowers, indices into `live` under kBatchPerChip.
+  const bool shard = opts_.strategy == Strategy::kShardTowers;
+  std::vector<std::size_t> todo(shard ? towers : live.size());
+  std::iota(todo.begin(), todo.end(), std::size_t{0});
+  std::vector<std::size_t> all_towers(towers);
+  std::iota(all_towers.begin(), all_towers.end(), std::size_t{0});
   // Chips that faulted during this stage: blacklisted from re-placement so
   // a retry lands elsewhere (place_items drops the blacklist when it would
   // empty the farm -- a lone chip must get to retry its own transient).
@@ -814,10 +824,17 @@ void EvalService::run_stage(Session& s, const std::vector<std::size_t>& live,
     std::vector<std::exception_ptr> chip_errs(farm_.size());
     exec_.for_each(active.size(), [&](std::size_t k) {
       const std::size_t c = active[k];
-      // Translate placement-local indices back to stage-local item ids.
+      // The chip's (tower, request) cells: every live request at its placed
+      // towers, or its placed requests at every tower.
       std::vector<std::size_t> placed;
       placed.reserve(assign[c].size());
       for (std::size_t j : assign[c]) placed.push_back(todo[j]);
+      std::vector<std::size_t> reqs;
+      if (shard) {
+        reqs = live;
+      } else {
+        for (std::size_t i : placed) reqs.push_back(live[i]);
+      }
       const auto t0 = Clock::now();
       const auto stage_span =
           opts_.trace != nullptr
@@ -829,9 +846,9 @@ void EvalService::run_stage(Session& s, const std::vector<std::size_t>& live,
       driver::ChipMulReport rep;
       rep.trace = opts_.trace;
       rep.trace_chip = static_cast<std::uint32_t>(c);
-      StageCounters n;
+      rep.requests = reqs.size();
       try {
-        work(c, placed, rep, n);
+        for (std::size_t tw : shard ? placed : all_towers) tower_body(c, tw, reqs, rep);
         if (opts_.stage_timeout_seconds > 0 &&
             sim_seconds(rep) > opts_.stage_timeout_seconds) {
           // Modeled stage budget blown (injected stalls inflating the
@@ -852,16 +869,18 @@ void EvalService::run_stage(Session& s, const std::vector<std::size_t>& live,
         chip_errs[c] = std::current_exception();
       }
       chip_sim[c] += sim_seconds(rep);
-      note_chip_session(c, rep, n.requests, n.tower_runs, n.relin_tower_runs,
-                        seconds_since(t0));
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (chip_errs[c] == nullptr) {
-          note_chip_ok_locked(
-              c, sim_seconds(rep) / static_cast<double>(placed.size()));
-        } else if (is_fault(chip_errs[c])) {
-          note_chip_fault_locked(c);
-        }
+      // Close the session: the service's rows, then one fold into the
+      // chip's stats.  A share that faulted before configuring any tower
+      // never occupied the chip.
+      rep.sessions = 1;
+      rep.compute_seconds = rep.chip_ms * 1e-3;
+      rep.busy_wall_seconds = seconds_since(t0);
+      std::lock_guard<std::mutex> lk(mu_);
+      if (rep.ring_configs > 0) stats_.per_chip[c] += rep;
+      if (chip_errs[c] == nullptr) {
+        note_chip_ok_locked(c, sim_seconds(rep) / static_cast<double>(placed.size()));
+      } else if (is_fault(chip_errs[c])) {
+        note_chip_fault_locked(c);
       }
     });
 
@@ -871,7 +890,7 @@ void EvalService::run_stage(Session& s, const std::vector<std::size_t>& live,
       if (chip_errs[c] == nullptr) continue;
       if (is_fault(chip_errs[c]) && retries_left > 0) {
         // Healing layer 1: re-place this chip's share within the stage.
-        // The work bodies are pure functions of host-resident operands, so
+        // The tower bodies are pure functions of host-resident operands, so
         // re-running them (usually on another chip) is idempotent.
         stage_faulted[c] = true;
         any_faulted = true;
@@ -885,17 +904,17 @@ void EvalService::run_stage(Session& s, const std::vector<std::size_t>& live,
       }
       // Out of retries, or not a fault at all: surface the originating
       // error.  First error wins -- nothing may overwrite it later.
-      if (per_item_errors) {
-        // Batch strategies: only the chip's own placed requests are lost.
-        for (std::size_t j : assign[c]) {
-          const std::size_t r = live[todo[j]];
-          if (s.errs[r] == nullptr) s.errs[r] = chip_errs[c];
-        }
-      } else {
+      if (shard) {
         // Tower shards: a lost shard starves every request in the round.
         for (std::size_t r : live)
           if (s.errs[r] == nullptr) s.errs[r] = chip_errs[c];
         round_poisoned = true;
+      } else {
+        // Whole requests: only the chip's own placed requests are lost.
+        for (std::size_t j : assign[c]) {
+          const std::size_t r = live[todo[j]];
+          if (s.errs[r] == nullptr) s.errs[r] = chip_errs[c];
+        }
       }
     }
     if (round_poisoned || next_todo.empty()) break;
@@ -903,112 +922,6 @@ void EvalService::run_stage(Session& s, const std::vector<std::size_t>& live,
     std::sort(next_todo.begin(), next_todo.end());
     todo = std::move(next_todo);
   }
-}
-
-void EvalService::run_mult_batch_per_chip(Session& s,
-                                          const std::vector<std::size_t>& live,
-                                          std::vector<double>& chip_sim) {
-  using driver::ChipBfvEvaluator;
-  const std::size_t towers = scheme_.context().ext_basis().size();
-  // Whole requests onto chips, then one tower-outer session per chip: one
-  // ring configuration serves the chip's whole share of the round.
-  run_stage(s, live, chip_sim, live.size(), /*per_item_errors=*/true,
-            [&](std::size_t c, const std::vector<std::size_t>& placed,
-                driver::ChipMulReport& rep, StageCounters& n) {
-              auto& drv = farm_.driver(c);
-              key_caches_[c].invalidate();  // tensor uploads clobber SP1
-              n.requests = placed.size();
-              for (std::size_t tw = 0; tw < towers; ++tw) {
-                ChipBfvEvaluator::configure_tower(drv, scheme_, tw, &rep);
-                for (std::size_t i : placed) {
-                  const std::size_t r = live[i];
-                  ChipBfvEvaluator::load_tower(drv, s.slots[r].mult, tw, &rep);
-                  ChipBfvEvaluator::execute_tower(drv, &rep);
-                  s.slots[r].tensors[tw] = ChipBfvEvaluator::read_tower(drv, &rep);
-                  ++n.tower_runs;
-                }
-              }
-            });
-}
-
-void EvalService::run_mult_shard_towers(Session& s,
-                                        const std::vector<std::size_t>& live,
-                                        std::vector<double>& chip_sim) {
-  using driver::ChipBfvEvaluator;
-  const std::size_t towers = scheme_.context().ext_basis().size();
-  // Towers onto chips: every chip configures its towers once each and runs
-  // them for every request in the round.
-  run_stage(s, live, chip_sim, towers, /*per_item_errors=*/false,
-            [&](std::size_t c, const std::vector<std::size_t>& placed,
-                driver::ChipMulReport& rep, StageCounters& n) {
-              auto& drv = farm_.driver(c);
-              key_caches_[c].invalidate();  // tensor uploads clobber SP1
-              n.requests = live.size();
-              for (std::size_t tw : placed) {
-                ChipBfvEvaluator::configure_tower(drv, scheme_, tw, &rep);
-                for (std::size_t r : live) {
-                  ChipBfvEvaluator::load_tower(drv, s.slots[r].mult, tw, &rep);
-                  ChipBfvEvaluator::execute_tower(drv, &rep);
-                  s.slots[r].tensors[tw] = ChipBfvEvaluator::read_tower(drv, &rep);
-                  ++n.tower_runs;
-                }
-              }
-            });
-}
-
-void EvalService::run_relin_batch_per_chip(Session& s,
-                                           const std::vector<std::size_t>& live,
-                                           std::vector<double>& chip_sim) {
-  using driver::ChipBfvEvaluator;
-  const std::size_t towers = scheme_.context().q_basis().size();
-  run_stage(s, live, chip_sim, live.size(), /*per_item_errors=*/true,
-            [&](std::size_t c, const std::vector<std::size_t>& placed,
-                driver::ChipMulReport& rep, StageCounters& n) {
-              auto& drv = farm_.driver(c);
-              // The chip's share of the round as one group per tower: the
-              // batched key switch shares key uploads across the group
-              // (SP1 key cache).
-              std::vector<const driver::RelinOperands*> group;
-              group.reserve(placed.size());
-              for (std::size_t i : placed) group.push_back(&s.slots[live[i]].relin);
-              n.requests = placed.size();
-              for (std::size_t tw = 0; tw < towers; ++tw) {
-                ChipBfvEvaluator::configure_relin_tower(drv, scheme_, tw, &rep);
-                auto accs = ChipBfvEvaluator::relin_tower_batch(
-                    drv, scheme_, group, *opts_.relin_keys, tw, &key_caches_[c],
-                    &rep);
-                for (std::size_t j = 0; j < placed.size(); ++j)
-                  s.slots[live[placed[j]]].relin_accs[tw] = std::move(accs[j]);
-                n.relin_tower_runs += group.size();
-              }
-            });
-}
-
-void EvalService::run_relin_shard_towers(Session& s,
-                                         const std::vector<std::size_t>& live,
-                                         std::vector<double>& chip_sim) {
-  using driver::ChipBfvEvaluator;
-  run_stage(s, live, chip_sim, scheme_.context().q_basis().size(),
-            /*per_item_errors=*/false,
-            [&](std::size_t c, const std::vector<std::size_t>& placed,
-                driver::ChipMulReport& rep, StageCounters& n) {
-              auto& drv = farm_.driver(c);
-              std::vector<const driver::RelinOperands*> group;
-              group.reserve(live.size());
-              for (std::size_t r : live) group.push_back(&s.slots[r].relin);
-              n.requests = live.size();
-              // Chip c owns its placed Q towers of every request's key
-              // switch.
-              for (std::size_t tw : placed) {
-                ChipBfvEvaluator::configure_relin_tower(drv, scheme_, tw, &rep);
-                auto accs = ChipBfvEvaluator::relin_tower_batch(
-                    drv, scheme_, group, *opts_.relin_keys, tw, &key_caches_[c],
-                    &rep);
-                for (std::size_t j = 0; j < live.size(); ++j)
-                  s.slots[live[j]].relin_accs[tw] = std::move(accs[j]);
-                n.relin_tower_runs += live.size();
-              }
-            });
 }
 
 void EvalService::note_chip_fault_locked(std::size_t chip) {
@@ -1019,7 +932,6 @@ void EvalService::note_chip_fault_locked(std::size_t chip) {
       h.consecutive_faults >= opts_.quarantine_after) {
     h.quarantined = true;
     h.last_probe_round = stats_.rounds;
-    ++stats_.quarantines;
     ++stats_.per_chip[chip].quarantines;
     if (opts_.trace != nullptr)
       opts_.trace->instant_wall("quarantine", "heal",
@@ -1029,9 +941,9 @@ void EvalService::note_chip_fault_locked(std::size_t chip) {
 
 void EvalService::note_chip_ok_locked(std::size_t chip, double unit_cost_sample) {
   health_[chip].consecutive_faults = 0;
-  const double a = opts_.cost_ewma_alpha;
-  if (a > 0 && unit_cost_sample > 0)
-    chip_unit_cost_[chip] = (1.0 - a) * chip_unit_cost_[chip] + a * unit_cost_sample;
+  if (unit_cost_sample > 0)
+    chip_unit_cost_[chip] = (1.0 - kCostEwmaAlpha) * chip_unit_cost_[chip] +
+                            kCostEwmaAlpha * unit_cost_sample;
 }
 
 void EvalService::probe_quarantined(bool force) {
@@ -1062,12 +974,10 @@ void EvalService::probe_quarantined(bool force) {
       opts_.trace->instant_wall(ok ? "probe.ok" : "probe.fail", "heal",
                                 {{"chip", static_cast<double>(c)}});
     std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.probes;
     ++stats_.per_chip[c].probes;
     if (ok) {
       health_[c].quarantined = false;
       health_[c].consecutive_faults = 0;
-      ++stats_.readmissions;
       ++stats_.per_chip[c].readmissions;
       if (opts_.trace != nullptr)
         opts_.trace->instant_wall("readmit", "heal",
@@ -1076,43 +986,6 @@ void EvalService::probe_quarantined(bool force) {
       ++stats_.probe_failures;
     }
   }
-}
-
-void EvalService::note_chip_session(std::size_t chip, const driver::ChipMulReport& rep,
-                                    std::uint64_t requests, std::uint64_t tower_runs,
-                                    std::uint64_t relin_tower_runs,
-                                    double busy_wall_seconds) {
-  if (tower_runs == 0 && relin_tower_runs == 0 && rep.towers == 0)
-    return;  // chip sat this round out
-  const double compute_seconds = rep.chip_ms * 1e-3;
-  std::lock_guard<std::mutex> lk(mu_);
-  auto& c = stats_.per_chip[chip];
-  ++c.sessions;
-  c.requests += requests;
-  c.tower_runs += tower_runs;
-  c.relin_tower_runs += relin_tower_runs;
-  c.ks_products += rep.ks_products;
-  c.key_uploads += rep.key_uploads;
-  c.key_cache_hits += rep.key_cache_hits;
-  c.sram_reuses += rep.sram_reuses;
-  c.batched_writes += rep.batched_writes;
-  c.twiddle_cache_hits += rep.twiddle_cache_hits;
-  c.key_bytes_saved += rep.key_bytes_saved;
-  c.ring_configs += rep.towers;
-  c.chip_cycles += rep.chip_cycles;
-  c.io_seconds += rep.io_seconds;
-  c.compute_seconds += compute_seconds;
-  c.busy_wall_seconds += busy_wall_seconds;
-  ++stats_.sessions;
-  stats_.ks_products += rep.ks_products;
-  stats_.key_uploads += rep.key_uploads;
-  stats_.key_cache_hits += rep.key_cache_hits;
-  stats_.sram_reuses += rep.sram_reuses;
-  stats_.batched_writes += rep.batched_writes;
-  stats_.twiddle_cache_hits += rep.twiddle_cache_hits;
-  stats_.key_bytes_saved += rep.key_bytes_saved;
-  stats_.io_seconds += rep.io_seconds;
-  stats_.compute_seconds += compute_seconds;
 }
 
 }  // namespace cofhee::service

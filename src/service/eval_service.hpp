@@ -111,19 +111,15 @@ struct ServiceOptions {
   /// 1 reproduces the one-request-per-session serial behavior.
   std::size_t max_batch = 16;
   /// Fan sessions out over a pooled Executor sized to the farm; false runs
-  /// the whole scheduler single-threaded (the bit-exact reference shape).
+  /// the whole scheduler single-threaded.  Test oracle: the bit-exact
+  /// reference shape EvalService.SerialDispatchMatchesPooled compares
+  /// against.
   bool pooled_dispatch = true;
   /// Key material for kRelinearize / kMultRelin requests; the caller keeps
   /// it alive for the service's lifetime.  Validated against the scheme at
   /// construction (std::invalid_argument on a level/ring mismatch).
   /// Submitting a relin request while this is null throws.
   const bfv::RelinKeys* relin_keys = nullptr;
-  /// Pipelined rounds: prepare round k host-side while earlier rounds'
-  /// chip stages are in flight, and defer finishes behind the session
-  /// ring.  false executes every phase back-to-back (the reference
-  /// schedule; results are bit-identical either way).  Equivalent to
-  /// pipeline_depth = 1 when false.
-  bool overlap_rounds = true;
   /// Pending-request capacity, counting queued requests AND requests
   /// already drained into in-flight rounds (so a deep pipeline cannot hold
   /// ~pipeline_depth x the bound); 0 means unbounded.  submit_batch()
@@ -137,21 +133,22 @@ struct ServiceOptions {
   /// results or wall-clock behavior.
   double host_coeff_ops_per_sec = 250e6;
   /// Queue ordering: priority classes + per-tenant weighted deficit
-  /// round-robin (the default), or strict arrival order (the v1 reference
-  /// path the scheduler tests differentiate against).
+  /// round-robin (the default), or strict arrival order (SchedPolicy::kFifo,
+  /// a test oracle).
   SchedPolicy sched = SchedPolicy::kPriorityFair;
   /// Most consecutive picks a backlogged priority class may lose to other
   /// classes before it is force-served (0 = strict priority, unbounded
   /// starvation).  Only meaningful under SchedPolicy::kPriorityFair.
   std::size_t starvation_bound = 64;
   /// Work-onto-chip mapping: load-aware scoring over the per-chip cost
-  /// model (the default) or the v1 round-robin stride.
+  /// model (the default) or the round-robin stride (Placement::kRoundRobin,
+  /// a test oracle).
   Placement placement = Placement::kLoadAware;
   /// Session-ring depth K: up to K-1 rounds keep their chip stages in
-  /// flight while the dispatcher prepares ahead and defers finishes.
-  /// 1 disables pipelining (fully serial reference), 2 reproduces the v1
-  /// two-slot double buffer.  Normalized to >= 1; ignored (treated as 1)
-  /// when overlap_rounds is false.
+  /// flight while the dispatcher prepares round k host-side and defers
+  /// finishes.  1 executes every phase back-to-back (the fully serial
+  /// reference schedule; results are bit-identical at every depth), 2 is
+  /// the classic two-slot double buffer.  Normalized to >= 1.
   std::size_t pipeline_depth = 2;
   /// Most distinct tenant ids tracked individually in
   /// ServiceStats::per_tenant; later ids aggregate under
@@ -182,10 +179,6 @@ struct ServiceOptions {
   /// in ServiceStats::stage_timeouts) and its items retried elsewhere.
   /// 0 disables the check.  Seconds (simulated).
   double stage_timeout_seconds = 0;
-  /// Smoothing factor for the measured per-chip unit-cost EWMA that feeds
-  /// placement (cost := (1-a)*cost + a*sample).  0 freezes costs at the
-  /// modeled seed (the v2 reference behavior); clamped to [0, 1].
-  double cost_ewma_alpha = 0.3;
   /// Optional trace recorder (obs/trace.hpp, caller-owned, must outlive the
   /// service): the service then emits hierarchical spans -- async "request"
   /// spans from submit to settle, wall spans for every round phase and
@@ -277,7 +270,7 @@ class EvalService {
     std::vector<Pending> round;
     std::vector<RoundSlot> slots;
     std::vector<std::exception_ptr> errs;
-    std::shared_future<void> chip;  // in-flight chip stage (pipelined mode)
+    std::shared_future<void> chip;  // chip stage (deferred at pipeline_depth 1)
     double sim_prep = 0;      // modeled host seconds, pre-chip
     double sim_chip = 0;      // round chip-stage span (simulated)
     double sim_finish = 0;    // modeled host seconds, post-chip
@@ -342,45 +335,26 @@ class EvalService {
   std::vector<std::vector<std::size_t>> place_items(
       std::size_t items, const std::vector<bool>* exclude = nullptr);
 
-  /// Work counters one chip's stage body reports into note_chip_session.
-  struct StageCounters {
-    std::uint64_t requests = 0;
-    std::uint64_t tower_runs = 0;
-    std::uint64_t relin_tower_runs = 0;
-  };
-
-  /// Shared stage scaffold: place `items` onto chips, fan the per-chip
-  /// `work(chip, placed_items, report, counters)` body out over the
-  /// Executor, and record per-chip stats/sim time.  A chip whose share
-  /// faults (chip::FaultError, or a modeled stage timeout) has its items
-  /// re-placed onto the other eligible chips and re-run, up to
-  /// ServiceOptions::max_stage_retries times -- the work bodies are pure
+  /// The one stage driver behind both chip sub-stages.  The strategy only
+  /// decides which (tower, request) cells each chip gets: its placed
+  /// requests at every one of `towers` towers under kBatchPerChip, every
+  /// `live` request at its placed towers under kShardTowers.  Each chip
+  /// runs its cells tower-outer, request-inner, calling
+  /// `tower_body(chip, tower, requests, report)` once per tower, as one
+  /// session whose report lands in ServiceStats::per_chip.  A chip whose
+  /// share faults (chip::FaultError, or a modeled stage timeout) has its
+  /// items re-placed onto the other eligible chips and re-run, up to
+  /// ServiceOptions::max_stage_retries times -- the bodies are pure
   /// functions of host-resident operands, so re-running is idempotent.
   /// Only when retries are exhausted (or the failure is not a fault) is
-  /// the error folded into s.errs: onto the chip's own placed slots when
-  /// `per_item_errors` (batch strategies, items index `live`), onto every
-  /// live slot otherwise (tower shards: any lost shard starves the whole
-  /// round).  Defined in eval_service.cpp (only used there).
-  template <typename Work>
-  void run_stage(Session& s, const std::vector<std::size_t>& live,
-                 std::vector<double>& chip_sim, std::size_t items,
-                 bool per_item_errors, Work&& work);
+  /// the error folded into s.errs: onto the chip's own requests under
+  /// kBatchPerChip, onto every live request under kShardTowers (a lost
+  /// shard starves the whole round).  Adds each chip's simulated session
+  /// time to `chip_sim`.  Defined in eval_service.cpp (only used there).
+  template <typename TowerBody>
+  void run_stage(Session& s, const std::vector<std::size_t>& live, std::size_t towers,
+                 std::vector<double>& chip_sim, TowerBody&& tower_body);
 
-  /// Tensor-stage fan-out; writes tensors for `live` slots, records
-  /// per-chip stats and folds chip failures into s.errs.
-  void run_mult_batch_per_chip(Session& s, const std::vector<std::size_t>& live,
-                               std::vector<double>& chip_sim);
-  void run_mult_shard_towers(Session& s, const std::vector<std::size_t>& live,
-                             std::vector<double>& chip_sim);
-  /// Key-switch-stage fan-out over the Q basis, same shapes as above.
-  void run_relin_batch_per_chip(Session& s, const std::vector<std::size_t>& live,
-                                std::vector<double>& chip_sim);
-  void run_relin_shard_towers(Session& s, const std::vector<std::size_t>& live,
-                              std::vector<double>& chip_sim);
-
-  void note_chip_session(std::size_t chip, const driver::ChipMulReport& rep,
-                         std::uint64_t requests, std::uint64_t tower_runs,
-                         std::uint64_t relin_tower_runs, double busy_wall_seconds);
   /// Modeled host seconds for `ops` coefficient operations.
   [[nodiscard]] double host_seconds(double ops) const noexcept;
 
@@ -390,7 +364,8 @@ class EvalService {
   void note_chip_fault_locked(std::size_t chip);
   /// Healing bookkeeping for a successful session: reset the chip's
   /// consecutive-fault count and fold `unit_cost_sample` (modeled seconds
-  /// per placed item; <= 0 skips the update) into its placement EWMA.
+  /// per placed item; <= 0 skips the update) into its placement EWMA
+  /// (smoothing factor kCostEwmaAlpha).
   /// Caller holds mu_.
   void note_chip_ok_locked(std::size_t chip, double unit_cost_sample);
   /// Probe quarantined chips (HostDriver::probe) and re-admit the ones that
@@ -398,6 +373,10 @@ class EvalService {
   /// `force`.  Called from the dispatcher with no session holding the
   /// probed chips (quarantined chips receive no placements).  Takes mu_.
   void probe_quarantined(bool force);
+
+  /// Smoothing factor of the measured per-chip unit-cost EWMA that feeds
+  /// placement: cost := (1 - a) * cost + a * sample.
+  static constexpr double kCostEwmaAlpha = 0.3;
 
   /// Per-chip healing state (guarded by mu_).
   struct ChipHealth {
@@ -409,7 +388,6 @@ class EvalService {
   const bfv::Bfv& scheme_;
   ChipFarm& farm_;
   ServiceOptions opts_;
-  std::size_t depth_;  // effective session-ring depth (>= 1)
   backend::Executor exec_;
   std::vector<bool> chip_eligible_;     // can chip c serve the ring at all?
   std::vector<double> chip_unit_cost_;  // measured EWMA seconds per work item

@@ -35,7 +35,9 @@ class FarmCapacityError : public std::invalid_argument {
 
 /// How round work is mapped onto chips.
 enum class Placement : std::uint8_t {
-  /// Blind stride over the eligible chips (the v1 reference behavior).
+  /// Blind stride over the eligible chips.  Test oracle: the v1 reference
+  /// the heterogeneous-farm tests and bench_service_throughput compare
+  /// load-aware placement against.
   kRoundRobin = 0,
   /// Greedy least-projected-finish-time over the per-chip cost model
   /// (scheduler v2, the default).

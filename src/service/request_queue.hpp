@@ -90,7 +90,8 @@ struct SubmitOptions {
 
 /// How the dispatcher orders queued requests.
 enum class SchedPolicy : std::uint8_t {
-  /// Strict arrival order, ignoring SubmitOptions (the v1 reference path).
+  /// Strict arrival order, ignoring SubmitOptions.  Test oracle: the v1
+  /// reference schedule the scheduler tests differentiate against.
   kFifo = 0,
   /// Priority classes + per-tenant weighted deficit round-robin with a
   /// starvation bound (scheduler v2, the default).

@@ -12,9 +12,9 @@
 //  * the *pipeline model* replays the dispatcher's actual schedule on the
 //    simulated axis: one virtual host resource, one virtual chip-farm
 //    resource, advanced in the order phases really executed.  With
-//    double-buffered rounds enabled, host phases hide under chip phases and
-//    pipeline_span_seconds < serial_span_seconds; with overlap disabled the
-//    two spans coincide.
+//    pipelined rounds (ServiceOptions::pipeline_depth > 1), host phases hide
+//    under chip phases and pipeline_span_seconds < serial_span_seconds; at
+//    depth 1 the two spans coincide.
 #pragma once
 
 #include <algorithm>
@@ -22,61 +22,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "driver/chip_counters.hpp"
+
 namespace cofhee::service {
 
-/// Per-chip accounting.  A "session" is one continuous occupancy of a chip
-/// by a request group: its towers are ring-configured once each and then
-/// shared by every request in the group (the transport amortization the
-/// service exists for).
-struct ChipStats {
-  /// Sessions (continuous chip occupancies) this chip ran.  Count.
-  std::uint64_t sessions = 0;
-  /// Work items (whole requests under kBatchPerChip, tower shards under
-  /// kShardTowers) the Placer assigned to this chip.  Count.
-  std::uint64_t placements = 0;
-  /// Requests this chip touched (a sharded request counts on every chip
-  /// serving one of its towers).  Count.
-  std::uint64_t requests = 0;
-  /// Algorithm-3 (ciphertext-tensor) executions.  Count.
-  std::uint64_t tower_runs = 0;
-  /// Per-(request, Q-tower) relinearization runs (each bundling this
-  /// tower's key-switch products).  Count.
-  std::uint64_t relin_tower_runs = 0;
-  /// Algorithm-2 key-switch PolyMuls executed.  Count.
-  std::uint64_t ks_products = 0;
-  /// Relin-key tower uploads paid over this chip's serial link.  Count.
-  std::uint64_t key_uploads = 0;
-  /// Relin-key tower uploads skipped because the key was already resident
-  /// in SP1 (batch-aware key caching).  key_uploads + key_cache_hits is the
-  /// cache-less upload count.  Count.
-  std::uint64_t key_cache_hits = 0;
-  /// Ring reconfigurations paid (register writes + twiddle preload).  Count.
-  std::uint64_t ring_configs = 0;
-  /// Operand uploads replaced by on-chip DMA duplication because the
-  /// polynomial was already resident in an SP bank (squaring scratch-reuse
-  /// hint; 2 per tower run of a squared request).  Count.
-  std::uint64_t sram_reuses = 0;
-  /// Register writes that traveled inside coalesced burst frames instead of
-  /// standalone write transactions (link batching).  Count.
-  std::uint64_t batched_writes = 0;
-  /// Timed ring configurations skipped because this chip's twiddle ROM
-  /// already held the requested ring (cross-session twiddle-ROM cache).
-  /// Count.
-  std::uint64_t twiddle_cache_hits = 0;
-  /// Wire bytes avoided by shipping relin-key `a` towers as seed frames
-  /// instead of full coefficient bursts.  Bytes.
-  std::uint64_t key_bytes_saved = 0;
-  /// Typed faults (ChipFaultError / LinkTimeoutError) sessions or probes on
-  /// this chip surfaced to the service.  Count.
-  std::uint64_t faults = 0;
-  /// Times the service quarantined this chip (after
-  /// ServiceOptions::quarantine_after consecutive faults).  Count.
-  std::uint64_t quarantines = 0;
-  /// Times a health probe passed and the chip was re-admitted from
-  /// quarantine.  Count.
-  std::uint64_t readmissions = 0;
-  /// Health probes sent to this chip (while quarantined).  Count.
-  std::uint64_t probes = 0;
+/// Per-chip accounting: the counter rows of driver/chip_counters.hpp plus
+/// the chip's health state at sampling time.  A "session" is one continuous
+/// occupancy of a chip by a request group: its towers are ring-configured
+/// once each and then shared by every request in the group (the transport
+/// amortization the service exists for).
+struct ChipStats : driver::ChipCounters {
   /// Whether the chip is quarantined (receiving probes, not sessions) at
   /// sampling time.
   bool quarantined = false;
@@ -85,15 +40,6 @@ struct ChipStats {
   /// degraded chip (injected stalls inflating its link time) sheds load.
   /// Seconds (simulated) per item.
   double ewma_unit_cost = 0;
-  /// PE cycles at the configured clock.  Cycles.
-  std::uint64_t chip_cycles = 0;
-  /// Simulated serial-link transport.  Seconds (simulated).
-  double io_seconds = 0;
-  /// Simulated chip compute (chip_cycles at the modeled clock).  Seconds
-  /// (simulated).
-  double compute_seconds = 0;
-  /// Host wall-clock spent inside this chip's sessions.  Seconds (wall).
-  double busy_wall_seconds = 0;
 
   /// Simulated time this chip's serial link + PE were owned by sessions.
   /// Seconds (simulated).
@@ -221,8 +167,9 @@ struct TenantStats {
 };
 
 /// Aggregate service counters.  Snapshot-consistent when obtained through
-/// EvalService::stats().
-struct ServiceStats {
+/// EvalService::stats().  The driver::ChipCounters rows hold farm-wide sums:
+/// stats() adds them up over per_chip.
+struct ServiceStats : driver::ChipCounters {
   /// Requests accepted by submit()/submit_batch().  Count.
   std::uint64_t submitted = 0;
   /// Requests whose future was fulfilled with a value.  Count.
@@ -234,28 +181,6 @@ struct ServiceStats {
   /// Rounds whose host-side preparation ran while a previous round's chip
   /// stage was still in flight (double-buffering engaged).  Count.
   std::uint64_t overlapped_rounds = 0;
-  /// Sum of per-chip sessions.  Count.
-  std::uint64_t sessions = 0;
-  /// Algorithm-2 key-switch PolyMuls, summed over chips.  Count.
-  std::uint64_t ks_products = 0;
-  /// Relin-key tower uploads paid, summed over chips.  Count.
-  std::uint64_t key_uploads = 0;
-  /// Relin-key tower uploads skipped by the batch-aware key cache, summed
-  /// over chips (key_uploads + key_cache_hits == the cache-less count, and
-  /// for relin traffic that cache-less count equals ks_products).  Count.
-  std::uint64_t key_cache_hits = 0;
-  /// Operand uploads the squaring scratch-reuse hint turned into on-chip
-  /// DMA copies, summed over chips (see ChipStats::sram_reuses).  Count.
-  std::uint64_t sram_reuses = 0;
-  /// Register writes coalesced into burst frames, summed over chips (see
-  /// ChipStats::batched_writes).  Count.
-  std::uint64_t batched_writes = 0;
-  /// Ring configurations skipped by the twiddle-ROM cache, summed over
-  /// chips (see ChipStats::twiddle_cache_hits).  Count.
-  std::uint64_t twiddle_cache_hits = 0;
-  /// Wire bytes saved by seed-compressed relin-key uploads, summed over
-  /// chips (see ChipStats::key_bytes_saved).  Bytes.
-  std::uint64_t key_bytes_saved = 0;
   /// Injected faults the chips' link injectors actually fired (corrupt
   /// frames, timed-out stalls, kill events -- sub-timeout stalls that merely
   /// slowed a transaction count too), summed over attached injectors.  Count.
@@ -267,15 +192,6 @@ struct ServiceStats {
   /// were exhausted and the request went back into the queue for a fresh
   /// round (bounded by ServiceOptions::request_retries).  Count.
   std::uint64_t requeues = 0;
-  /// Chips quarantined after ServiceOptions::quarantine_after consecutive
-  /// faults, summed over chips (a chip re-quarantined later counts again).
-  /// Count.
-  std::uint64_t quarantines = 0;
-  /// Quarantined chips re-admitted after a passing health probe, summed
-  /// over chips.  Count.
-  std::uint64_t readmissions = 0;
-  /// Health probes sent to quarantined chips, summed over chips.  Count.
-  std::uint64_t probes = 0;
   /// Probes that faulted or read back the wrong word (chip stays
   /// quarantined).  Count.
   std::uint64_t probe_failures = 0;
@@ -310,11 +226,6 @@ struct ServiceStats {
   /// time; with a non-zero ServiceOptions::max_queue this never exceeds
   /// the bound.  Count.
   std::size_t peak_queue_depth = 0;
-  /// Simulated serial-link transport, summed over chips.  Seconds
-  /// (simulated).
-  double io_seconds = 0;
-  /// Simulated chip compute, summed over chips.  Seconds (simulated).
-  double compute_seconds = 0;
   /// Modeled host time in pre-chip phases (base extension, relin digit
   /// decomposition).  Seconds (simulated, host cost model).
   double sim_host_prep_seconds = 0;

@@ -16,6 +16,11 @@ struct PowerCase {
   double avg_mw, peak_mw;
 };
 
+// CTest names value-parameterized cases after the printed parameter; the
+// default byte dump would embed the `algo` pointer, which ASLR changes on
+// every run of the test discovery.
+void PrintTo(const PowerCase& pc, std::ostream* os) { *os << pc.algo << " n=" << pc.n; }
+
 class TableVPower : public ::testing::TestWithParam<PowerCase> {};
 
 TEST_P(TableVPower, WithinTenPercentOfSilicon) {

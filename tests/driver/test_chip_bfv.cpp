@@ -34,7 +34,7 @@ TEST(ChipBfv, MultiplyMatchesSoftwareBitExactly) {
   }
   EXPECT_EQ(enc.decode(f.scheme.decrypt(f.sk, hw)), 321 * -77);
   // One Algorithm-3 run per extended tower (|Q| + |B| = 2 + 3).
-  EXPECT_EQ(rep.towers, 5u);
+  EXPECT_EQ(rep.ring_configs, 5u);
   EXPECT_GT(rep.chip_cycles, 0u);
   EXPECT_GT(rep.io_seconds, 0.0);
 }
@@ -130,7 +130,7 @@ TEST(ChipBfv, RelinearizeMatchesSoftwareBitExactly) {
   // One ring configuration per Q tower, and per (digit, component) products:
   // |Q| towers x |digits| x 2 PolyMuls.
   const auto qt = f.scheme.context().q_basis().size();
-  EXPECT_EQ(rep.towers, qt);
+  EXPECT_EQ(rep.ring_configs, qt);
   EXPECT_EQ(rep.ks_products, qt * rk.keys.size() * 2);
   EXPECT_GT(rep.chip_cycles, 0u);
   EXPECT_GT(rep.io_seconds, 0.0);
@@ -156,7 +156,7 @@ TEST(ChipBfv, MultiplyRelinMatchesSoftwareChain) {
   // Both halves accounted: tensor ring configs over the extended basis plus
   // key-switch configs over Q.
   const auto& ctx = f.scheme.context();
-  EXPECT_EQ(rep.towers, ctx.ext_basis().size() + ctx.q_basis().size());
+  EXPECT_EQ(rep.ring_configs, ctx.ext_basis().size() + ctx.q_basis().size());
   EXPECT_EQ(rep.ks_products, ctx.q_basis().size() * rk.keys.size() * 2);
 }
 

@@ -121,7 +121,7 @@ TEST(ChipVsSoftwareBfv, ReportAccountsForEveryExtendedTower) {
   ChipMulReport rep;
   (void)ev.multiply(f.scheme, ca, cb, &rep);
   const auto& ctx = f.scheme.context();
-  EXPECT_EQ(rep.towers, ctx.ext_basis().size());
+  EXPECT_EQ(rep.ring_configs, ctx.ext_basis().size());
   EXPECT_GT(rep.chip_cycles, 0u);
   EXPECT_GT(rep.chip_ms, 0.0);
   EXPECT_GT(rep.io_seconds, 0.0);

@@ -156,7 +156,7 @@ TEST(EvalService, OverlappedRoundsMatchSequentialRounds) {
     ServiceOptions opts;
     opts.max_batch = 1;  // one request per round -> many rounds to pipeline
     opts.relin_keys = &f.rk;
-    opts.overlap_rounds = overlap;
+    opts.pipeline_depth = overlap ? 2 : 1;
     EvalService svc(f.scheme, farm, opts);
     std::vector<std::future<bfv::Ciphertext>> futures;
     for (const auto& r : reqs) futures.push_back(svc.submit(r));
@@ -193,7 +193,7 @@ TEST(EvalService, PipelineModelShowsOverlapOnBackloggedTraffic) {
   ServiceOptions opts;
   opts.max_batch = 1;
   opts.relin_keys = &f.rk;
-  opts.overlap_rounds = true;
+  opts.pipeline_depth = 2;
   EvalService svc(f.scheme, farm, opts);
   auto futures = svc.submit_batch(reqs);  // atomic: queue is backlogged
   for (auto& fu : futures) (void)fu.get();

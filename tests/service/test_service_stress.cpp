@@ -119,7 +119,7 @@ TEST(ServiceStress, PipelinedMixedKindRoundsUnderConcurrentSubmitters) {
     opts.strategy = strategy;
     opts.max_batch = 2;
     opts.relin_keys = &rk;
-    opts.overlap_rounds = true;
+    opts.pipeline_depth = 2;
     EvalService svc(f.scheme, farm, opts);
     std::atomic<int> mismatches{0};
 
