@@ -15,8 +15,11 @@
 // The bench asserts in-binary that fused+simd is at least as fast as the
 // scalar reference on every scenario (with a small tolerance for timer
 // noise) -- a regression here fails `ctest -L bench` even before the JSON
-// diff runs.  Wall-clock milliseconds are machine-dependent and stay out of
-// the regression JSON; the deterministic modular-multiplication counts and
+// diff runs.  The three paths run interleaved, one repetition of each per
+// round, and their medians are compared: a load burst on a shared host then
+// slows all three alike instead of landing on one path's block of runs.
+// Wall-clock milliseconds are machine-dependent and stay out of the
+// regression JSON; the deterministic modular-multiplication counts and
 // per-coefficient pass counts (the model of *why* the fused path wins) are
 // what bench_diff.py tracks.
 #include <algorithm>
@@ -42,13 +45,13 @@ using poly::u64;
 struct Scenario {
   std::size_t n;
   unsigned bits;
-  int reps;  // best-of repetitions (smaller rings get more)
+  int rounds;  // interleaved rounds, odd (smaller rings get more)
 };
 
 const Scenario kScenarios[] = {
-    {1u << 10, 59, 40},
-    {1u << 12, 59, 15},
-    {1u << 13, 59, 8},
+    {1u << 10, 59, 101},
+    {1u << 12, 59, 31},
+    {1u << 13, 59, 15},
 };
 
 struct Operands {
@@ -82,17 +85,16 @@ void tensor_unfused(const poly::NegacyclicNtt64& ntt, const Operands& op,
 }
 
 template <class F>
-double best_of_ms(int reps, F&& body) {
-  body();  // warm-up
-  double best = 1e30;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    body();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best,
-                    std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
+double time_ms(F&& body) {
+  const auto t0 = std::chrono::steady_clock::now();
+  body();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
 }
 
 }  // namespace
@@ -116,19 +118,27 @@ int main(int argc, char** argv) {
     const poly::MergedNtt64 fused_ntt(red, n, psi);
     const Operands op = make_operands(n, q);
 
-    Coeffs<u64> y0, y1, y2;
-    const double scalar_ms = best_of_ms(
-        sc.reps, [&] { tensor_unfused(scalar_ntt, op, y0, y1, y2); });
-
-    if (!nt::simd::force_isa(nt::simd::Isa::kScalar))
-      std::fprintf(stderr, "cannot pin scalar lane?\n");
-    Coeffs<u64> f0, f1, f2;
-    const double fused_ms = best_of_ms(
-        sc.reps, [&] { fused_ntt.tensor(op.a0, op.a1, op.b0, op.b1, f0, f1, f2); });
-    nt::simd::clear_forced_isa();
-    Coeffs<u64> s0, s1, s2;
-    const double simd_ms = best_of_ms(
-        sc.reps, [&] { fused_ntt.tensor(op.a0, op.a1, op.b0, op.b1, s0, s1, s2); });
+    Coeffs<u64> y0, y1, y2, f0, f1, f2, s0, s1, s2;
+    const auto scalar = [&] { tensor_unfused(scalar_ntt, op, y0, y1, y2); };
+    const auto fused = [&] {
+      if (!nt::simd::force_isa(nt::simd::Isa::kScalar))
+        std::fprintf(stderr, "cannot pin scalar lane?\n");
+      fused_ntt.tensor(op.a0, op.a1, op.b0, op.b1, f0, f1, f2);
+      nt::simd::clear_forced_isa();
+    };
+    const auto simd = [&] { fused_ntt.tensor(op.a0, op.a1, op.b0, op.b1, s0, s1, s2); };
+    scalar();  // warm-up
+    fused();
+    simd();
+    std::vector<double> scalar_runs, fused_runs, simd_runs;
+    for (int r = 0; r < sc.rounds; ++r) {
+      scalar_runs.push_back(time_ms(scalar));
+      fused_runs.push_back(time_ms(fused));
+      simd_runs.push_back(time_ms(simd));
+    }
+    const double scalar_ms = median(scalar_runs);
+    const double fused_ms = median(fused_runs);
+    const double simd_ms = median(simd_runs);
 
     // The three paths must agree bit-for-bit (the test battery holds this
     // contract too; the bench re-checks on its own operands for free).
@@ -153,7 +163,7 @@ int main(int argc, char** argv) {
 
     eval::section("kernel dispatch, n = 2^" + std::to_string(logn) +
                   " (one 59-bit tower, BFV tensor)");
-    eval::Table t({"path", "lane", "best ms", "vs scalar"});
+    eval::Table t({"path", "lane", "median ms", "vs scalar"});
     t.row({"scalar unfused", "scalar", eval::fmt(scalar_ms, 3), "1.00x"});
     t.row({"fused", "scalar", eval::fmt(fused_ms, 3),
            eval::fmt(scalar_ms / fused_ms, 2) + "x"});

@@ -1,13 +1,16 @@
 // google-benchmark micro kernels: the Barrett-vs-Montgomery design choice
-// (paper Section IV-A), the two NTT organizations (merged psi twiddles vs
-// explicit psi scaling, Algorithm 2), and the 64-bit tower primitives the
-// CPU baseline is built from.
+// (paper Section IV-A) and the 64-bit tower primitives the CPU baseline is
+// built from, down to a forward NTT of NegacyclicNtt64, the independent
+// reference transform.  The production transform is the merged NTT defined
+// once in poly/ntt.hpp (root check, twiddle ROM, mirror identity, stage
+// walk) and run by MergedNtt<Red, T>, MergedNtt64 and the chip model's
+// Mdmc::exec_ntt; bench_kernel_dispatch times MergedNtt64 against this
+// reference.
 #include <benchmark/benchmark.h>
 
 #include "nt/barrett.hpp"
 #include "nt/montgomery.hpp"
 #include "nt/primes.hpp"
-#include "poly/merged_ntt.hpp"
 #include "poly/ntt.hpp"
 #include "poly/sampler.hpp"
 
@@ -96,26 +99,6 @@ void BM_NegacyclicNtt64Forward(benchmark::State& state) {
                           static_cast<std::int64_t>(n / 2 * nt::log2_exact(n)));
 }
 BENCHMARK(BM_NegacyclicNtt64Forward)->Arg(1 << 12)->Arg(1 << 13);
-
-void BM_MergedVsScaledNtt128(benchmark::State& state) {
-  // Ablation: merged psi twiddles (one command) vs explicit psi scaling +
-  // omega-only cyclic NTT (Algorithm 2 written literally).
-  const std::size_t n = 1u << 10;
-  const u128 q = nt::find_ntt_prime_u128(109, n);
-  nt::Barrett128 br(q);
-  const u128 psi = nt::primitive_2nth_root(q, n);
-  poly::MergedNtt128 merged(br, n, psi);
-  poly::CyclicNtt128 scaled(br, n, psi);
-  poly::Rng rng(7);
-  const auto a = poly::sample_uniform128(rng, n, q);
-  const auto b = poly::sample_uniform128(rng, n, q);
-  const bool use_merged = state.range(0) == 1;
-  for (auto _ : state) {
-    auto y = use_merged ? merged.negacyclic_mul(a, b) : scaled.negacyclic_mul(a, b);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_MergedVsScaledNtt128)->Arg(1)->Arg(0);
 
 }  // namespace
 

@@ -45,8 +45,11 @@ Plaintext BatchEncoder::encode(const std::vector<u64>& values) const {
 }
 
 std::vector<u64> BatchEncoder::decode(const Plaintext& p) const {
+  if (p.coeffs.size() != n_) throw std::invalid_argument("BatchEncoder: bad plaintext");
+  for (u64 c : p.coeffs)
+    if (c >= t_ring_.modulus())
+      throw std::invalid_argument("BatchEncoder: coefficient >= t");
   poly::Coeffs<u64> slots = p.coeffs;
-  if (slots.size() != n_) throw std::invalid_argument("BatchEncoder: bad plaintext");
   ntt_.forward(slots);
   return slots;
 }

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "bfv/bfv.hpp"
-#include "poly/ntt.hpp"
+#include "poly/merged_ntt.hpp"
 
 namespace cofhee::bfv {
 
@@ -34,14 +34,15 @@ class BatchEncoder {
 
   [[nodiscard]] std::size_t slot_count() const noexcept { return n_; }
 
-  /// values.size() <= n; missing slots are zero.
+  /// values.size() <= n, each value < t; missing slots are zero.
   [[nodiscard]] Plaintext encode(const std::vector<u64>& values) const;
+  /// p must hold n coefficients, each < t.
   [[nodiscard]] std::vector<u64> decode(const Plaintext& p) const;
 
  private:
   std::size_t n_;
   nt::Barrett64 t_ring_;
-  poly::NegacyclicNtt64 ntt_;
+  poly::MergedNtt64 ntt_;
 };
 
 }  // namespace cofhee::bfv

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "nt/primes.hpp"
+#include "poly/ntt.hpp"
 
 namespace cofhee::chip {
 
@@ -74,18 +75,52 @@ std::uint64_t Mdmc::exec_ntt(const Instr& in, bool inverse) {
   for (std::size_t i = 0; i < n; ++i) x[i] = src.read(in.x.offset + i);
 
   std::uint64_t cycles = cfg_.cmd_issue_cycles;
-
-  // Inverse twiddles are derived from the shared ROM by the DMA-assisted
-  // mirror pass (Section VIII-B); functionally: psi^-e = -psi^(n-e).
   const unsigned radix_speedup = cfg_.num_pe;  // Section VIII-A scaling knob
-  std::vector<u128> tw_stage(n);  // values consumed this stage
 
-  // Background staging of the next polynomial (Section III-F) overlaps the
-  // first stage only -- an n-word burst at 8 words/cycle fits well inside
-  // one stage's n/2 butterfly window.  That stage is the peak-power window
-  // the oscilloscope sees (Table V peak > steady-state butterfly power).
-  bool first_stage = true;
-  auto charge_stage = [&](std::uint64_t butterflies, const char* label) {
+  if (!inverse) {
+    // CT/DIT merged negacyclic forward transform (natural -> bit-reversed),
+    // each block's twiddle psi^rev(k) read from the TW bank.
+    const auto block = [&](std::size_t j1, std::size_t t, std::size_t k) {
+      const u128 s = tw.read(k);
+      for (std::size_t j = j1; j < j1 + t; ++j) {
+        const auto o = pe_.butterfly_ct(x[j], x[j + t], s);
+        x[j] = o.lo;
+        x[j + t] = o.hi;
+      }
+    };
+    poly::for_each_ntt_block(n, /*inverse=*/false, block);
+  } else {
+    // GS/DIF merged inverse transform (bit-reversed -> natural).  The
+    // mirror pass streams the ROM through the DMA to derive the inverse
+    // twiddles psi^-rev(i) = -psi^(n - rev(i)) (Section VIII-B).
+    PowerSegment mirror;
+    mirror.cycles = n / cfg_.dma_words_per_cycle / radix_speedup;
+    mirror.dma_words = n / cfg_.dma_words_per_cycle;
+    mirror.label = "intt-twiddle-mirror";
+    trace_.append(mirror);
+    cycles += mirror.cycles;
+    std::vector<u128> rom(n);
+    for (std::size_t i = 0; i < n; ++i) rom[i] = tw.peek(i);
+    const std::vector<u128> itw = poly::mirror_twiddles(pe_.ring(), rom);
+    const auto block = [&](std::size_t j1, std::size_t t, std::size_t k) {
+      const u128 s = itw[k];
+      for (std::size_t j = j1; j < j1 + t; ++j) {
+        const auto o = pe_.butterfly_gs(x[j], x[j + t], s);
+        x[j] = o.lo;
+        x[j + t] = o.hi;
+      }
+    };
+    poly::for_each_ntt_block(n, /*inverse=*/true, block);
+  }
+
+  // One segment per stage, n/2 butterflies each, then the stage's
+  // reconfiguration + pipeline fill/drain.  Background staging of the next
+  // polynomial (Section III-F) overlaps the first stage only -- an n-word
+  // burst at 8 words/cycle fits well inside one stage's n/2 butterfly
+  // window.  That stage is the peak-power window the oscilloscope sees
+  // (Table V peak > steady-state butterfly power).
+  const std::uint64_t butterflies = n / 2;
+  for (unsigned stage = 0; stage < logn; ++stage) {
     PowerSegment seg;
     seg.cycles = butterflies * ii / radix_speedup;
     if (inverse) {
@@ -98,69 +133,18 @@ std::uint64_t Mdmc::exec_ntt(const Instr& in, bool inverse) {
     seg.sram_reads = 2 * butterflies;
     seg.sram_writes = 2 * butterflies;
     seg.twiddle_reads = butterflies;
-    seg.dma_concurrent = cfg_.dma_background && first_stage;
-    first_stage = false;
-    seg.label = label;
+    seg.dma_concurrent = cfg_.dma_background && stage == 0;
+    seg.label = inverse ? "intt-stage" : "ntt-stage";
     trace_.append(seg);
     cycles += seg.cycles;
-    // Stage reconfiguration + pipeline fill/drain.
     PowerSegment fill;
     fill.cycles = cfg_.stage_overhead;
     fill.label = "stage-overhead";
     trace_.append(fill);
     cycles += fill.cycles;
-  };
+  }
 
-  if (!inverse) {
-    // CT/DIT merged negacyclic forward transform (natural -> bit-reversed).
-    std::size_t t = n;
-    for (std::size_t m = 1; m < n; m <<= 1) {
-      t >>= 1;
-      for (std::size_t i = 0; i < m; ++i) {
-        const u128 s = tw.read(m + i);  // psi^rev(m+i) from the twiddle ROM
-        const std::size_t j1 = 2 * i * t;
-        for (std::size_t j = j1; j < j1 + t; ++j) {
-          const auto o = pe_.butterfly_ct(x[j], x[j + t], s);
-          x[j] = o.lo;
-          x[j + t] = o.hi;
-        }
-      }
-      charge_stage(n / 2, "ntt-stage");
-    }
-  } else {
-    // GS/DIF merged inverse transform (bit-reversed -> natural).
-    // The mirror pass streams the ROM through the DMA to derive inverse
-    // twiddles: psi^-rev(i) = -psi^(n - rev(i)).
-    const unsigned lognn = logn;
-    {
-      PowerSegment mirror;
-      mirror.cycles = n / cfg_.dma_words_per_cycle / radix_speedup;
-      mirror.dma_words = n / cfg_.dma_words_per_cycle;
-      mirror.label = "intt-twiddle-mirror";
-      trace_.append(mirror);
-      cycles += mirror.cycles;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t e = nt::bit_reverse(i, lognn);
-      tw_stage[i] = e == 0 ? u128{1}
-                           : pe_.ring().neg(tw.peek(nt::bit_reverse(n - e, lognn)));
-    }
-    std::size_t t = 1;
-    for (std::size_t m = n; m > 1; m >>= 1) {
-      const std::size_t h = m >> 1;
-      std::size_t j1 = 0;
-      for (std::size_t i = 0; i < h; ++i) {
-        const u128 s = tw_stage[h + i];
-        for (std::size_t j = j1; j < j1 + t; ++j) {
-          const auto o = pe_.butterfly_gs(x[j], x[j + t], s);
-          x[j] = o.lo;
-          x[j + t] = o.hi;
-        }
-        j1 += 2 * t;
-      }
-      t <<= 1;
-      charge_stage(n / 2, "intt-stage");
-    }
+  if (inverse) {
     // Trailing CMODMUL by INV_POLYDEG (n^-1 mod q).
     const u128 ninv = gpcfg_.inv_polydeg();
     for (auto& c : x) c = pe_.mod_mul(c, ninv);

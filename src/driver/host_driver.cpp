@@ -7,6 +7,7 @@
 
 #include "chip/gpcfg.hpp"
 #include "nt/primes.hpp"
+#include "poly/ntt.hpp"
 #include "poly/sampler.hpp"
 
 namespace cofhee::driver {
@@ -41,18 +42,19 @@ void HostDriver::invalidate_twiddle_cache() noexcept {
 }
 
 double HostDriver::configure_ring(u128 q, std::size_t n, u128 psi, bool timed) {
+  const nt::Barrett128 ring(q);
+  poly::check_ntt_ring(ring, n, psi, "HostDriver::configure_ring");
   n_ = n;
   q_ = q;
-  engine_ = poly::MergedNtt128(nt::Barrett128(q), n, psi);
+  const u128 n_inv = ring.inv(static_cast<u128>(n));
 
-  const auto& rom = engine_.twiddle_rom();  // psi^rev(i), one word per coeff
   auto& tag = chip_.twiddle_tag();
   if (!timed) {
     auto& gp = chip_.gpcfg();
     gp.set_q(q);
     gp.set_n(n);
-    gp.set_inv_polydeg(engine_.n_inv());
-    chip_.load_coeffs(Bank::kTw, 0, rom);
+    gp.set_inv_polydeg(n_inv);
+    chip_.load_coeffs(Bank::kTw, 0, poly::twiddle_rom(ring, n, psi));
     // The backdoor leaves the chip in the same resident state as a timed
     // programming pass, so record it (no hit/miss accounting: nothing was
     // skipped and nothing traveled).
@@ -110,7 +112,7 @@ double HostDriver::configure_ring(u128 q, std::size_t n, u128 psi, bool timed) {
     lk.host_write_burst(reg_addr(Reg::kBarrettCtl1), bw.data(), bw.size());
     lk.host_write32(reg_addr(Reg::kFheCtl1), nt::log2_exact(n));
     std::array<std::uint32_t, 4> iw{};
-    v = engine_.n_inv();
+    v = n_inv;
     for (auto& w : iw) {
       w = static_cast<std::uint32_t>(v);
       v >>= 32;
@@ -125,9 +127,11 @@ double HostDriver::configure_ring(u128 q, std::size_t n, u128 psi, bool timed) {
     for (std::uint32_t w = 0; w < bc.ctl2.size(); ++w)
       lk.host_write32(reg_addr(Reg::kBarrettCtl2_0) + w * 4, bc.ctl2[w]);
     lk.host_write32(reg_addr(Reg::kFheCtl1), nt::log2_exact(n));
-    write_wide(Reg::kInvPolyDeg0, engine_.n_inv(), 4);
+    write_wide(Reg::kInvPolyDeg0, n_inv, 4);
   }
 
+  // The twiddle ROM, psi^rev(i), one 128-bit word per coefficient.
+  const std::vector<u128> rom = poly::twiddle_rom(ring, n, psi);
   std::vector<std::uint32_t> words(rom.size() * 4);
   for (std::size_t i = 0; i < rom.size(); ++i) {
     u128 v = rom[i];

@@ -111,22 +111,10 @@ void scalar_mul_shoup_scalar(u64* x, std::size_t len, u64 w, u64 wshoup,
   }
 }
 
-void mont_mul_scalar(u64* dst, const u64* a, const u64* b, std::size_t len,
-                     u64 q, u64 qinv_neg) {
-  for (std::size_t i = 0; i < len; ++i) {
-    const u128 t = static_cast<u128>(a[i]) * b[i];
-    const u64 m = static_cast<u64>(t) * qinv_neg;
-    u64 r = static_cast<u64>((t + static_cast<u128>(m) * q) >> 64);
-    if (r >= q) r -= q;
-    dst[i] = r;
-  }
-}
-
 constexpr KernelTable kScalarTable = {
     ct_butterfly_scalar,     gs_butterfly_scalar,
     canonicalize_scalar,     pointwise_mul_scalar,
     pointwise_mul_acc_scalar, scalar_mul_shoup_scalar,
-    mont_mul_scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -295,35 +283,10 @@ COFHEE_AVX2_FN void scalar_mul_shoup_avx2(u64* x, std::size_t len, u64 w,
   if (i < len) scalar_mul_shoup_scalar(x + i, len - i, w, wshoup, q);
 }
 
-COFHEE_AVX2_FN void mont_mul_avx2(u64* dst, const u64* a, const u64* b,
-                                  std::size_t len, u64 q, u64 qinv_neg) {
-  const __m256i vq = _mm256_set1_epi64x(static_cast<long long>(q));
-  const __m256i vqi = _mm256_set1_epi64x(static_cast<long long>(qinv_neg));
-  const __m256i one = _mm256_set1_epi64x(1);
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i tlo = mm_mullo_epu64(va, vb);
-    const __m256i thi = mm_mulhi_epu64(va, vb);
-    const __m256i m = mm_mullo_epu64(tlo, vqi);
-    // REDC zeroes the low 64 bits of t + m*q, so the carry into the high
-    // half is exactly (tlo != 0).
-    const __m256i carry =
-        _mm256_andnot_si256(_mm256_cmpeq_epi64(tlo, zero), one);
-    const __m256i r = _mm256_add_epi64(
-        _mm256_add_epi64(thi, mm_mulhi_epu64(m, vq)), carry);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), mm_csub_epu64(r, vq));
-  }
-  if (i < len) mont_mul_scalar(dst + i, a + i, b + i, len - i, q, qinv_neg);
-}
-
 constexpr KernelTable kAvx2Table = {
     ct_butterfly_avx2,     gs_butterfly_avx2,
     canonicalize_avx2,     pointwise_mul_avx2,
     pointwise_mul_acc_avx2, scalar_mul_shoup_avx2,
-    mont_mul_avx2,
 };
 
 #endif  // COFHEE_SIMD_AVX2
@@ -472,33 +435,10 @@ void scalar_mul_shoup_neon(u64* x, std::size_t len, u64 w, u64 wshoup, u64 q) {
   if (i < len) scalar_mul_shoup_scalar(x + i, len - i, w, wshoup, q);
 }
 
-void mont_mul_neon(u64* dst, const u64* a, const u64* b, std::size_t len,
-                   u64 q, u64 qinv_neg) {
-  const uint64x2_t vq = vdupq_n_u64(q);
-  const uint64x2_t vqi = vdupq_n_u64(qinv_neg);
-  const uint64x2_t one = vdupq_n_u64(1);
-  std::size_t i = 0;
-  for (; i + 2 <= len; i += 2) {
-    const uint64x2_t va = vld1q_u64(a + i);
-    const uint64x2_t vb = vld1q_u64(b + i);
-    const uint64x2_t tlo = nn_mullo_epu64(va, vb);
-    const uint64x2_t thi = nn_mulhi_epu64(va, vb);
-    const uint64x2_t m = nn_mullo_epu64(tlo, vqi);
-    // REDC zeroes the low 64 bits of t + m*q, so the carry into the high
-    // half is exactly (tlo != 0); vtst yields all-ones where tlo is nonzero.
-    const uint64x2_t carry = vandq_u64(vtstq_u64(tlo, tlo), one);
-    const uint64x2_t r =
-        vaddq_u64(vaddq_u64(thi, nn_mulhi_epu64(m, vq)), carry);
-    vst1q_u64(dst + i, nn_csub_u64(r, vq));
-  }
-  if (i < len) mont_mul_scalar(dst + i, a + i, b + i, len - i, q, qinv_neg);
-}
-
 constexpr KernelTable kNeonTable = {
     ct_butterfly_neon,     gs_butterfly_neon,
     canonicalize_neon,     pointwise_mul_neon,
     pointwise_mul_acc_neon, scalar_mul_shoup_neon,
-    mont_mul_neon,
 };
 
 #endif  // COFHEE_SIMD_NEON

@@ -12,29 +12,14 @@ inline u64 shoup_of(u64 w, u64 q) noexcept {
 
 MergedNtt64::MergedNtt64(const nt::Barrett64& red, std::size_t n, u64 psi)
     : red_(red), n_(n) {
-  if (!nt::is_power_of_two(n) || n < 2)
-    throw std::invalid_argument("MergedNtt64: n must be 2^k, k >= 1");
-  if (red.pow(psi, static_cast<u64>(n)) != red.modulus() - 1)
-    throw std::invalid_argument("MergedNtt64: psi is not a primitive 2n-th root");
-  const unsigned logn = nt::log2_exact(n);
+  check_ntt_ring(red, n, psi, "MergedNtt64");
   const u64 q = red.modulus();
-  const u64 psi_inv = red.inv(psi);
-  std::vector<u64> pow(n), pow_inv(n);
-  u64 p = 1, pi = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    pow[i] = p;
-    pow_inv[i] = pi;
-    p = red.mul(p, psi);
-    pi = red.mul(pi, psi_inv);
-  }
-  tw_.resize(n);
+  tw_ = twiddle_rom(red, n, psi);
+  tw_inv_ = mirror_twiddles(red, tw_);
   tw_shoup_.resize(n);
-  tw_inv_.resize(n);
   tw_inv_shoup_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    tw_[i] = pow[nt::bit_reverse(i, logn)];
     tw_shoup_[i] = shoup_of(tw_[i], q);
-    tw_inv_[i] = pow_inv[nt::bit_reverse(i, logn)];
     tw_inv_shoup_[i] = shoup_of(tw_inv_[i], q);
   }
   n_inv_ = red.inv(static_cast<u64>(n));
@@ -46,14 +31,10 @@ void MergedNtt64::forward(Coeffs<u64>& x) const {
   const auto& K = nt::simd::kernels();
   const u64 q = red_.modulus();
   u64* d = x.data();
-  std::size_t t = n_;
-  for (std::size_t m = 1; m < n_; m <<= 1) {
-    t >>= 1;
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::size_t j1 = 2 * i * t;
-      K.ct_butterfly(d + j1, d + j1 + t, t, tw_[m + i], tw_shoup_[m + i], q);
-    }
-  }
+  for_each_ntt_block(n_, /*inverse=*/false,
+                     [&](std::size_t j1, std::size_t t, std::size_t k) {
+                       K.ct_butterfly(d + j1, d + j1 + t, t, tw_[k], tw_shoup_[k], q);
+                     });
   K.canonicalize(d, n_, q);
 }
 
@@ -62,17 +43,11 @@ void MergedNtt64::inverse(Coeffs<u64>& x) const {
   const auto& K = nt::simd::kernels();
   const u64 q = red_.modulus();
   u64* d = x.data();
-  std::size_t t = 1;
-  for (std::size_t m = n_; m > 1; m >>= 1) {
-    const std::size_t h = m >> 1;
-    std::size_t j1 = 0;
-    for (std::size_t i = 0; i < h; ++i) {
-      K.gs_butterfly(d + j1, d + j1 + t, t, tw_inv_[h + i], tw_inv_shoup_[h + i],
-                     q);
-      j1 += 2 * t;
-    }
-    t <<= 1;
-  }
+  for_each_ntt_block(n_, /*inverse=*/true,
+                     [&](std::size_t j1, std::size_t t, std::size_t k) {
+                       K.gs_butterfly(d + j1, d + j1 + t, t, tw_inv_[k],
+                                      tw_inv_shoup_[k], q);
+                     });
   // Shoup scalar multiply accepts the lazy [0, 2q) stage output directly and
   // emits canonical residues: n^-1 scaling and canonicalization in one pass.
   K.scalar_mul_shoup(d, n_, n_inv_, n_inv_shoup_, q);

@@ -1,28 +1,35 @@
-// Number Theoretic Transform engines.
+// The merged negacyclic NTT, defined once.
 //
-// Two implementations, both tested against the schoolbook reference:
+// CoFHEE runs a whole negacyclic transform as one command: the 2n-th root
+// psi is folded into the stage twiddles (Longa-Naehrig), so no psi pre- or
+// post-scaling pass is needed, and NTT and iNTT share a single twiddle ROM
+// (paper Section VIII-B).  This header holds the pieces of that transform
+// every engine shares:
 //
-//  * CyclicNtt<Red, T> -- the chip-faithful path.  Forward transform is a
-//    Gentleman-Sande decimation-in-frequency pass over the n-th root omega
-//    (natural input -> bit-reversed output); inverse is a Cooley-Tukey
-//    decimation-in-time pass (bit-reversed input -> natural output) plus the
-//    trailing n^-1 scaling (the chip's CMODMUL by INV_POLYDEG).  Negacyclic
-//    semantics come from explicit psi pre-scaling / psi^-1 post-scaling,
-//    exactly Algorithm 2 of the paper.  NTT and iNTT share a single omega
-//    table (paper Section VIII-B): inverse twiddles are read at mirrored
-//    addresses using omega^-e = -omega^(n/2 - e).
-//    Note: the paper's Algorithm 1 listing terminates its stage loop at
-//    distance 2, omitting the final distance-1 stage; the cycle counts in
-//    Table XI ((n/2)*log2 n butterflies) confirm the full log2 n stages, so
-//    we implement the complete transform.
+//  * check_ntt_ring -- n = 2^k and psi^n = -1 mod q;
+//  * twiddle_rom    -- the ROM image psi^rev(i), what the host preloads
+//                      into the chip's TW bank;
+//  * mirror_twiddles -- the inverse table psi^-rev(i), derived from the ROM
+//                      alone through psi^-e = -psi^(n-e);
+//  * for_each_ntt_block -- the CT (forward) / GS (inverse) stage walk.
 //
-//  * NegacyclicNtt64 -- the software baseline path (SEAL-style): psi powers
-//    merged into the twiddles (Longa-Naehrig), Shoup precomputation, u64
-//    towers.  This is what the CPU comparison of Fig. 6 runs.
+// Three engines run that walk: MergedNtt<Red, T> (any reducer, e.g. the
+// chip's 128-bit Barrett), MergedNtt64 (the u64 host engine with lazy
+// Shoup butterflies and SIMD block kernels; poly/merged_ntt.hpp) and the
+// chip model's NTT/iNTT commands (Mdmc::exec_ntt).  Every stage of the
+// full log2(n) is run: the paper's Algorithm 1 listing stops at distance 2,
+// but Table V's cycle counts ((n/2)*log2 n butterflies) confirm the
+// complete transform.
+//
+// NegacyclicNtt64 is the declared independent reference: its own loops,
+// tables and checks, with canonical Shoup butterflies.  The test battery
+// and bench_kernel_dispatch compare the engines against it; nothing in
+// src/ calls it.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "nt/barrett.hpp"
@@ -31,131 +38,62 @@
 
 namespace cofhee::poly {
 
-/// Chip-faithful cyclic NTT over the n-th root of unity omega = psi^2.
+/// Throws std::invalid_argument (prefixed with `who`) unless n = 2^k with
+/// k >= 1 and psi is a primitive 2n-th root of unity (psi^n = -1 mod q).
 template <class Red, class T>
-class CyclicNtt {
- public:
-  CyclicNtt() = default;
+void check_ntt_ring(const Red& red, std::size_t n, T psi, const char* who) {
+  if (!nt::is_power_of_two(n) || n < 2)
+    throw std::invalid_argument(std::string(who) + ": n must be 2^k, k >= 1");
+  if (red.pow(psi, static_cast<T>(n)) != red.modulus() - 1)
+    throw std::invalid_argument(std::string(who) +
+                                ": psi is not a primitive 2n-th root");
+}
 
-  CyclicNtt(const Red& red, std::size_t n, T psi) : red_(red), n_(n), psi_(psi) {
-    if (!nt::is_power_of_two(n) || n < 2)
-      throw std::invalid_argument("CyclicNtt: n must be 2^k, k >= 1");
-    logn_ = nt::log2_exact(n);
-    omega_ = red_.mul(psi, psi);
-    if (red_.pow(psi_, static_cast<T>(n)) != red_.modulus() - 1)
-      throw std::invalid_argument("CyclicNtt: psi is not a primitive 2n-th root");
-    psi_inv_ = red_.inv(psi_);
-    omega_inv_ = red_.inv(omega_);
-    n_inv_ = red_.inv(static_cast<T>(n));
-    // Twiddle ROM layout: omega^j for j in [0, n/2), natural order.
-    tw_.resize(n / 2);
-    T w = 1;
-    for (std::size_t j = 0; j < n / 2; ++j) {
-      tw_[j] = w;
-      w = red_.mul(w, omega_);
-    }
-    // psi powers for the negacyclic pre/post scaling passes.
-    psi_pow_.resize(n);
-    psi_inv_pow_.resize(n);
-    T p = 1, pi = 1;
-    for (std::size_t j = 0; j < n; ++j) {
-      psi_pow_[j] = p;
-      psi_inv_pow_[j] = pi;
-      p = red_.mul(p, psi_);
-      pi = red_.mul(pi, psi_inv_);
-    }
+/// The twiddle ROM image: rom[i] = psi^rev(i), rev = log2(n)-bit reversal.
+template <class Red, class T>
+std::vector<T> twiddle_rom(const Red& red, std::size_t n, T psi) {
+  const unsigned logn = nt::log2_exact(n);
+  std::vector<T> rom(n);
+  T p = 1;
+  for (std::size_t e = 0; e < n; ++e) {
+    rom[nt::bit_reverse(e, logn)] = p;
+    p = red.mul(p, psi);
   }
+  return rom;
+}
 
-  [[nodiscard]] std::size_t n() const noexcept { return n_; }
-  [[nodiscard]] const Red& ring() const noexcept { return red_; }
-  [[nodiscard]] T psi() const noexcept { return psi_; }
-  [[nodiscard]] T omega() const noexcept { return omega_; }
-  [[nodiscard]] T n_inv() const noexcept { return n_inv_; }
-  [[nodiscard]] const std::vector<T>& twiddle_rom() const noexcept { return tw_; }
-  [[nodiscard]] const std::vector<T>& psi_powers() const noexcept { return psi_pow_; }
-  [[nodiscard]] const std::vector<T>& psi_inv_powers() const noexcept {
-    return psi_inv_pow_;
+/// The inverse twiddles psi^-rev(i), read from the ROM at mirrored
+/// addresses: psi^n = -1 gives psi^-e = -psi^(n-e), and psi^(n-e) sits at
+/// ROM address rev(n-e).  This is why the iNTT needs no second table.
+template <class Red, class T>
+std::vector<T> mirror_twiddles(const Red& red, const std::vector<T>& rom) {
+  const std::size_t n = rom.size();
+  const unsigned logn = nt::log2_exact(n);
+  std::vector<T> inv(n);
+  inv[0] = 1;
+  for (std::size_t i = 1; i < n; ++i)
+    inv[i] = red.neg(rom[nt::bit_reverse(n - nt::bit_reverse(i, logn), logn)]);
+  return inv;
+}
+
+/// The stage walk of the merged transform.  Stage m (m blocks of half-width
+/// t = n/(2m)) pairs x[j] with x[j + t] for j in [2it, 2it + t), block i
+/// using twiddle index m + i.  Forward (CT, natural in, bit-reversed out)
+/// runs m = 1, 2, ..., n/2 with ROM twiddles; inverse (GS, bit-reversed in,
+/// natural out) runs m = n/2, ..., 1 with mirror twiddles.  `body(offset,
+/// t, index)` executes one block; it is a template parameter, so it inlines.
+template <class Body>
+inline void for_each_ntt_block(std::size_t n, bool inverse, Body&& body) {
+  for (std::size_t s = 1; s < n; s <<= 1) {
+    const std::size_t m = inverse ? n / (2 * s) : s;
+    const std::size_t t = n / (2 * m);
+    for (std::size_t i = 0; i < m; ++i) body(2 * i * t, t, m + i);
   }
+}
 
-  /// Twiddle for forward butterflies: omega^e, e in [0, n/2).
-  [[nodiscard]] T fwd_twiddle(std::size_t e) const noexcept { return tw_[e]; }
-
-  /// Twiddle for inverse butterflies: omega^-e, read from the same ROM at
-  /// the mirrored address (omega^-e = -omega^(n/2 - e) since omega^(n/2)=-1).
-  [[nodiscard]] T inv_twiddle(std::size_t e) const noexcept {
-    return e == 0 ? T{1} : red_.neg(tw_[n_ / 2 - e]);
-  }
-
-  /// Forward cyclic NTT, GS/DIF, natural order in -> bit-reversed order out.
-  void forward(Coeffs<T>& x) const {
-    check(x);
-    for (std::size_t t = n_ / 2; t >= 1; t >>= 1) {
-      const std::size_t stride = n_ / (2 * t);  // twiddle exponent step
-      for (std::size_t g = 0; g < n_ / (2 * t); ++g) {
-        const std::size_t base = 2 * g * t;
-        for (std::size_t j = 0; j < t; ++j) {
-          const std::size_t k = base + j;
-          const T u = x[k];
-          const T v = x[k + t];
-          x[k] = red_.add(u, v);
-          x[k + t] = red_.mul(red_.sub(u, v), fwd_twiddle(j * stride));
-        }
-      }
-    }
-  }
-
-  /// Inverse cyclic NTT, CT/DIT, bit-reversed in -> natural out, scaled by
-  /// n^-1.
-  void inverse(Coeffs<T>& x) const {
-    check(x);
-    for (std::size_t t = 1; t <= n_ / 2; t <<= 1) {
-      const std::size_t stride = n_ / (2 * t);
-      for (std::size_t g = 0; g < n_ / (2 * t); ++g) {
-        const std::size_t base = 2 * g * t;
-        for (std::size_t j = 0; j < t; ++j) {
-          const std::size_t k = base + j;
-          const T u = x[k];
-          const T v = red_.mul(x[k + t], inv_twiddle(j * stride));
-          x[k] = red_.add(u, v);
-          x[k + t] = red_.sub(u, v);
-        }
-      }
-    }
-    for (auto& c : x) c = red_.mul(c, n_inv_);
-  }
-
-  /// Negacyclic product via Algorithm 2: psi scaling + cyclic NTT.
-  Coeffs<T> negacyclic_mul(const Coeffs<T>& a, const Coeffs<T>& b) const {
-    Coeffs<T> ap(a), bp(b);
-    for (std::size_t i = 0; i < n_; ++i) {
-      ap[i] = red_.mul(ap[i], psi_pow_[i]);
-      bp[i] = red_.mul(bp[i], psi_pow_[i]);
-    }
-    forward(ap);
-    forward(bp);
-    Coeffs<T> y = pointwise_mul(red_, ap, bp);
-    inverse(y);
-    for (std::size_t i = 0; i < n_; ++i) y[i] = red_.mul(y[i], psi_inv_pow_[i]);
-    return y;
-  }
-
- private:
-  void check(const Coeffs<T>& x) const {
-    if (x.size() != n_) throw std::invalid_argument("CyclicNtt: wrong length");
-  }
-
-  Red red_{};
-  std::size_t n_ = 0;
-  unsigned logn_ = 0;
-  T psi_{}, psi_inv_{}, omega_{}, omega_inv_{}, n_inv_{};
-  std::vector<T> tw_, psi_pow_, psi_inv_pow_;
-};
-
-using CyclicNtt64 = CyclicNtt<nt::Barrett64, u64>;
-using CyclicNtt128 = CyclicNtt<nt::Barrett128, u128>;
-
-/// Software-baseline negacyclic NTT on 64-bit towers with merged psi powers
-/// and Shoup multiplication (the role SEAL's NTT plays in Fig. 6).
+/// Independent u64 reference for the merged engines: merged psi twiddles
+/// and canonical Shoup butterflies, with its own loops, tables and checks
+/// (the role SEAL's NTT plays in Fig. 6).
 class NegacyclicNtt64 {
  public:
   NegacyclicNtt64() = default;

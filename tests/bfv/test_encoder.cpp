@@ -73,6 +73,14 @@ TEST(BatchEncoder, RejectsOversizedInputs) {
   BatchEncoder enc(f.scheme.context());
   EXPECT_THROW((void)enc.encode(std::vector<u64>(65, 0)), std::invalid_argument);
   EXPECT_THROW((void)enc.encode({65537}), std::invalid_argument);
+  // decode: wrong length, and any coefficient outside [0, t).
+  EXPECT_THROW((void)enc.decode(Plaintext{std::vector<u64>(63, 0)}),
+               std::invalid_argument);
+  Plaintext p = enc.encode({1, 2, 3});
+  p.coeffs[10] = 65537;
+  EXPECT_THROW((void)enc.decode(p), std::invalid_argument);
+  p.coeffs[10] = ~u64{0};
+  EXPECT_THROW((void)enc.decode(p), std::invalid_argument);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "nt/primes.hpp"
 #include "poly/merged_ntt.hpp"
 #include "poly/sampler.hpp"
@@ -18,15 +21,16 @@ struct ChipFixture {
   u128 q;
   std::size_t n;
   Barrett128 ring;
+  u128 psi;
   MergedNtt128 eng;
 
   explicit ChipFixture(std::size_t n_, unsigned bits = 109)
       : q(nt::find_ntt_prime_u128(bits, n_)), n(n_), ring(q),
-        eng(ring, n_, nt::primitive_2nth_root(q, n_)) {
+        psi(nt::primitive_2nth_root(q, n_)), eng(ring, n_, psi) {
     chip.gpcfg().set_q(q);
     chip.gpcfg().set_n(n);
     chip.gpcfg().set_inv_polydeg(eng.n_inv());
-    chip.load_coeffs(Bank::kTw, 0, eng.twiddle_rom());
+    chip.load_coeffs(Bank::kTw, 0, poly::twiddle_rom(ring, n, psi));
   }
 
   std::vector<u128> random_poly(std::uint64_t seed) {
@@ -141,6 +145,149 @@ TEST_P(TableVCycles, NttAndInttMatchSilicon) {
 INSTANTIATE_TEST_SUITE_P(PaperTableV, TableVCycles,
                          ::testing::Values(CyclesCase{4096, 24841, 29468},
                                            CyclesCase{8192, 53535, 62770}));
+
+// ---- Transform accounting in closed form. ----
+//
+// Everything one NTT and one iNTT charge, pinned against the cycle model in
+// chip/mdmc.hpp: returned cycles, MdmcStats, PeCounters, per-bank SRAM
+// traffic and the power segments.  The forward transform reads each of the
+// n - 1 twiddles it uses from the TW bank once; the inverse derives its
+// twiddles from the ROM by the (uncounted) mirror pass.
+
+struct Traffic {
+  std::uint64_t reads = 0, writes = 0;
+  bool operator==(const Traffic&) const = default;
+};
+
+std::array<Traffic, kNumBanks> bank_traffic(CofheeChip& chip) {
+  std::array<Traffic, kNumBanks> t{};
+  for (std::size_t b = 0; b < kNumBanks; ++b) {
+    const Sram& s = chip.mem().bank(static_cast<Bank>(b));
+    t[b] = {s.reads(), s.writes()};
+  }
+  return t;
+}
+
+void expect_stage(const PowerSegment& s, std::size_t n, bool inverse, bool first) {
+  EXPECT_EQ(s.label, inverse ? "intt-stage" : "ntt-stage");
+  EXPECT_EQ(s.cycles, n / 2);
+  EXPECT_EQ(s.mult_fwd, inverse ? 0 : n / 2);
+  EXPECT_EQ(s.mult_inv, inverse ? n / 2 : 0);
+  EXPECT_EQ(s.adds, n / 2);
+  EXPECT_EQ(s.subs, n / 2);
+  EXPECT_EQ(s.sram_reads, n);
+  EXPECT_EQ(s.sram_writes, n);
+  EXPECT_EQ(s.twiddle_reads, n / 2);
+  EXPECT_EQ(s.dma_words, 0u);
+  EXPECT_EQ(s.dma_concurrent, first);
+}
+
+void expect_overhead(const PowerSegment& s, const ChipConfig& cfg) {
+  EXPECT_EQ(s.label, "stage-overhead");
+  EXPECT_EQ(s.cycles, cfg.stage_overhead);
+  EXPECT_EQ(s.mult_fwd + s.mult_inv + s.adds + s.subs, 0u);
+  EXPECT_EQ(s.sram_reads + s.sram_writes + s.twiddle_reads + s.dma_words, 0u);
+  EXPECT_FALSE(s.dma_concurrent);
+}
+
+class TransformAccounting : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TransformAccounting, NttAndInttMatchClosedForm) {
+  const std::size_t n = GetParam();
+  ChipFixture f(n, 60);
+  const ChipConfig& cfg = f.chip.config();
+  ASSERT_EQ(cfg.num_pe, 1u);
+  ASSERT_TRUE(cfg.dma_background);
+  const unsigned logn = nt::log2_exact(n);
+  const std::uint64_t bfly = n / 2 * logn;
+  const auto dp0 = static_cast<std::size_t>(Bank::kDp0);
+  const auto dp1 = static_cast<std::size_t>(Bank::kDp1);
+  const auto tw = static_cast<std::size_t>(Bank::kTw);
+  f.chip.load_coeffs(Bank::kDp0, 0, f.random_poly(12));
+
+  // Forward: DP0 -> DP1, dual-port banks (II = 1).
+  f.chip.reset_metrics();
+  const auto ntt_cycles =
+      f.chip.direct_execute({Opcode::kNtt, {Bank::kDp0, 0}, {}, {Bank::kDp1, 0}, 0, 0});
+  EXPECT_EQ(ntt_cycles, cfg.cmd_issue_cycles + logn * (n / 2 + cfg.stage_overhead));
+  {
+    const auto& st = f.chip.mdmc().stats();
+    EXPECT_EQ(st.commands, 1u);
+    EXPECT_EQ(st.ntt_ops, 1u);
+    EXPECT_EQ(st.intt_ops + st.pointwise_ops + st.memcpy_ops, 0u);
+    const auto& pe = f.chip.pe().counters();
+    EXPECT_EQ(pe.butterflies, bfly);
+    EXPECT_EQ(pe.mults, bfly);
+    EXPECT_EQ(pe.adds, bfly);
+    EXPECT_EQ(pe.subs, bfly);
+    std::array<Traffic, kNumBanks> expect{};
+    expect[dp0].reads = n;
+    expect[dp1].writes = n;
+    expect[tw].reads = n - 1;
+    EXPECT_EQ(bank_traffic(f.chip), expect);
+    const auto& segs = f.chip.power_trace().segments();
+    ASSERT_EQ(segs.size(), 2u * logn);
+    std::uint64_t sum = 0;
+    for (unsigned s = 0; s < logn; ++s) {
+      expect_stage(segs[2 * s], n, /*inverse=*/false, /*first=*/s == 0);
+      expect_overhead(segs[2 * s + 1], cfg);
+    }
+    for (const auto& s : segs) sum += s.cycles;
+    EXPECT_EQ(sum + cfg.cmd_issue_cycles, ntt_cycles);
+  }
+
+  // Inverse: DP1 -> DP0.
+  f.chip.reset_metrics();
+  const auto intt_cycles =
+      f.chip.direct_execute({Opcode::kIntt, {Bank::kDp1, 0}, {}, {Bank::kDp0, 0}, 0, 0});
+  const std::uint64_t mirror = n / cfg.dma_words_per_cycle;
+  const std::uint64_t scale = n + cfg.pointwise_fill;
+  EXPECT_EQ(intt_cycles, cfg.cmd_issue_cycles + mirror +
+                             logn * (n / 2 + cfg.stage_overhead) + scale);
+  {
+    const auto& st = f.chip.mdmc().stats();
+    EXPECT_EQ(st.commands, 1u);
+    EXPECT_EQ(st.intt_ops, 1u);
+    EXPECT_EQ(st.ntt_ops + st.pointwise_ops + st.memcpy_ops, 0u);
+    const auto& pe = f.chip.pe().counters();
+    EXPECT_EQ(pe.butterflies, bfly);
+    EXPECT_EQ(pe.mults, bfly + n);  // butterflies + the n^-1 scaling pass
+    EXPECT_EQ(pe.adds, bfly);
+    EXPECT_EQ(pe.subs, bfly);
+    std::array<Traffic, kNumBanks> expect{};
+    expect[dp1].reads = n;
+    expect[dp0].writes = n;
+    EXPECT_EQ(bank_traffic(f.chip), expect);
+    const auto& segs = f.chip.power_trace().segments();
+    ASSERT_EQ(segs.size(), 2u * logn + 2);
+    EXPECT_EQ(segs.front().label, "intt-twiddle-mirror");
+    EXPECT_EQ(segs.front().cycles, mirror);
+    EXPECT_EQ(segs.front().dma_words, mirror);
+    EXPECT_FALSE(segs.front().dma_concurrent);
+    for (unsigned s = 0; s < logn; ++s) {
+      expect_stage(segs[1 + 2 * s], n, /*inverse=*/true, /*first=*/s == 0);
+      expect_overhead(segs[2 + 2 * s], cfg);
+    }
+    const auto& sc = segs.back();
+    EXPECT_EQ(sc.label, "intt-scale");
+    EXPECT_EQ(sc.cycles, scale);
+    EXPECT_EQ(sc.mult_inv, n);
+    EXPECT_EQ(sc.mult_fwd + sc.adds + sc.subs + sc.twiddle_reads, 0u);
+    EXPECT_EQ(sc.sram_reads, n);
+    EXPECT_EQ(sc.sram_writes, n);
+    EXPECT_FALSE(sc.dma_concurrent);
+    std::uint64_t sum = 0;
+    for (const auto& s : segs) sum += s.cycles;
+    EXPECT_EQ(sum + cfg.cmd_issue_cycles, intt_cycles);
+  }
+  // The pair still round-trips.
+  EXPECT_EQ(f.chip.read_coeffs(Bank::kDp0, 0, n), f.random_poly(12));
+}
+
+INSTANTIATE_TEST_SUITE_P(Rings, TransformAccounting, ::testing::Values(256, 4096),
+                         [](const auto& info) {
+                           return "n" + std::to_string(info.param);
+                         });
 
 TEST(Mdmc, SinglePortNttHasDoubleII) {
   // Section III-C: n >= 2^14 must run from single-port memories at II = 2.

@@ -1,9 +1,13 @@
-// MergedNtt -- the transform CoFHEE's NTT command executes (one command =
-// full negacyclic transform, twiddle ROM of bit-reversed psi powers shared
-// between NTT and iNTT per Section VIII-B).
+// The merged NTT: the shared definitions in poly/ntt.hpp (twiddle ROM,
+// mirror identity, stage walk) and the host engines built on them --
+// MergedNtt<Red, T> and the fused/SIMD MergedNtt64.  One command = the full
+// negacyclic transform; NTT and iNTT share one twiddle ROM (Section VIII-B).
 #include "poly/merged_ntt.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
 
 #include "bfv/bfv.hpp"
 #include "nt/primes.hpp"
@@ -57,22 +61,51 @@ TEST(MergedNtt, AgreesWithShoupEngine) {
   EXPECT_EQ(a, b);
 }
 
+// Cyclic DFT over omega by definition: y[k] = sum_j x[j] omega^(jk).
+Coeffs<u128> naive_dft(const nt::Barrett128& ring, const Coeffs<u128>& x,
+                       u128 omega) {
+  const std::size_t n = x.size();
+  Coeffs<u128> y(n, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const u128 root = ring.pow(omega, k);
+    u128 p = 1;
+    for (std::size_t j = 0; j < n; ++j) {
+      y[k] = ring.add(y[k], ring.mul(x[j], p));
+      p = ring.mul(p, root);
+    }
+  }
+  return y;
+}
+
 TEST(MergedNtt, AgreesWithExplicitPsiScalingPath) {
-  // Algorithm 2 equivalence: merged twiddles == psi-scale + cyclic omega
-  // NTT, coefficient for coefficient after the inverse.
+  // Algorithm 2 equivalence: merged twiddles == Algorithm 2 written
+  // literally (psi pre-scaling, cyclic DFT over omega = psi^2, pointwise
+  // product, inverse DFT with n^-1, psi^-1 post-scaling).
   const u128 q = nt::find_ntt_prime_u128(80, 64);
   Fix<nt::Barrett128, u128> f(64, q);
-  CyclicNtt128 scaled(f.ring, 64, f.psi);
   Rng rng(4);
   const auto a = sample_uniform128(rng, 64, q);
   const auto b = sample_uniform128(rng, 64, q);
-  EXPECT_EQ(f.eng.negacyclic_mul(a, b), scaled.negacyclic_mul(a, b));
+  const auto& r = f.ring;
+  const u128 omega = r.mul(f.psi, f.psi);
+  const u128 psi_inv = r.inv(f.psi);
+  Coeffs<u128> ap(64), bp(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    ap[i] = r.mul(a[i], r.pow(f.psi, i));
+    bp[i] = r.mul(b[i], r.pow(f.psi, i));
+  }
+  const auto prod = pointwise_mul(r, naive_dft(r, ap, omega), naive_dft(r, bp, omega));
+  auto y = naive_dft(r, prod, r.inv(omega));
+  const u128 n_inv = r.inv(u128{64});
+  for (std::size_t i = 0; i < 64; ++i)
+    y[i] = r.mul(r.mul(y[i], n_inv), r.pow(psi_inv, i));
+  EXPECT_EQ(f.eng.negacyclic_mul(a, b), y);
 }
 
 TEST(MergedNtt, TwiddleRomIsBitReversedPsiPowers) {
   const u64 q = nt::find_ntt_prime_u64(40, 32);
   Fix<nt::Barrett64, u64> f(32, q);
-  const auto& rom = f.eng.twiddle_rom();
+  const auto rom = twiddle_rom(f.ring, 32, f.psi);
   ASSERT_EQ(rom.size(), 32u);
   for (std::size_t i = 0; i < rom.size(); ++i) {
     EXPECT_EQ(rom[i], f.ring.pow(f.psi, nt::bit_reverse(i, 5))) << i;
@@ -81,17 +114,45 @@ TEST(MergedNtt, TwiddleRomIsBitReversedPsiPowers) {
 
 TEST(MergedNtt, InverseTwiddlesDerivableFromRomByMirror) {
   // The property the chip's DMA-assisted mirror pass relies on:
-  // psi^-e = -psi^(n-e), so the iNTT needs no second table.
+  // psi^-e = -psi^(n-e), so the iNTT needs no second table.  The mirrored
+  // ROM must equal the bit-reversed powers of psi^-1 at every address.
   const u64 q = nt::find_ntt_prime_u64(40, 64);
   Fix<nt::Barrett64, u64> f(64, q);
-  const auto& rom = f.eng.twiddle_rom();
-  const auto& inv = f.eng.inv_twiddles();
-  for (std::size_t i = 1; i < 64; ++i) {
-    const std::size_t e = nt::bit_reverse(i, 6);
-    const u64 from_rom = f.ring.neg(rom[nt::bit_reverse(64 - e, 6)]);
-    EXPECT_EQ(inv[i], from_rom) << i;
+  const auto inv = mirror_twiddles(f.ring, twiddle_rom(f.ring, 64, f.psi));
+  const u64 psi_inv = f.ring.inv(f.psi);
+  ASSERT_EQ(inv.size(), 64u);
+  for (std::size_t i = 0; i < 64; ++i)
+    EXPECT_EQ(inv[i], f.ring.pow(psi_inv, nt::bit_reverse(i, 6))) << i;
+}
+
+TEST(MergedNtt, StageWalkPairsEveryCoefficientOncePerStage) {
+  // Forward stages m = 1..n/2, inverse the same stages reversed; each stage
+  // pairs every coefficient exactly once and the whole walk uses each
+  // twiddle index 1..n-1 exactly once.
+  const std::size_t n = 32;
+  for (bool inverse : {false, true}) {
+    std::vector<std::size_t> stage_m;                 // in walk order
+    std::map<std::size_t, std::vector<int>> touched;  // per stage
+    std::vector<int> uses(n, 0);
+    for_each_ntt_block(n, inverse, [&](std::size_t j1, std::size_t t, std::size_t k) {
+      const std::size_t m = n / (2 * t);
+      if (stage_m.empty() || stage_m.back() != m) stage_m.push_back(m);
+      auto& seen = touched.try_emplace(m, n, 0).first->second;
+      for (std::size_t j = j1; j < j1 + t; ++j) {
+        ++seen[j];
+        ++seen[j + t];
+      }
+      ++uses[k];
+    });
+    std::vector<std::size_t> expect_m;
+    for (std::size_t m = 1; m < n; m <<= 1) expect_m.push_back(m);
+    if (inverse) std::reverse(expect_m.begin(), expect_m.end());
+    EXPECT_EQ(stage_m, expect_m) << "inverse=" << inverse;
+    for (const auto& [m, seen] : touched)
+      EXPECT_EQ(seen, std::vector<int>(n, 1)) << "m=" << m;
+    EXPECT_EQ(uses[0], 0);
+    for (std::size_t k = 1; k < n; ++k) EXPECT_EQ(uses[k], 1) << k;
   }
-  EXPECT_EQ(inv[0], 1u);
 }
 
 TEST(MergedNtt, NegacyclicWrapProperty) {
@@ -111,6 +172,14 @@ TEST(MergedNtt, RejectsBadConstruction) {
   nt::Barrett64 ring(q);
   EXPECT_THROW((MergedNtt<nt::Barrett64, u64>(ring, 63, 2)), std::invalid_argument);
   EXPECT_THROW((MergedNtt<nt::Barrett64, u64>(ring, 64, 1)), std::invalid_argument);
+  EXPECT_THROW(MergedNtt64(ring, 63, 2), std::invalid_argument);
+  EXPECT_THROW(MergedNtt64(ring, 64, 1), std::invalid_argument);
+  // And the transforms reject a vector of the wrong length.
+  const u64 psi = nt::primitive_2nth_root(q, 64);
+  Coeffs<u64> x(32, 0);
+  EXPECT_THROW(MergedNtt64(ring, 64, psi).forward(x), std::invalid_argument);
+  EXPECT_THROW((MergedNtt<nt::Barrett64, u64>(ring, 64, psi).inverse(x)),
+               std::invalid_argument);
 }
 
 class MergedDegreeSweep : public ::testing::TestWithParam<std::size_t> {};
