@@ -11,10 +11,20 @@ using poly::RnsPoly;
 
 namespace {
 
+using Lift = poly::RnsConverter::Lift;
+
 /// Map a signed big integer (mag, neg) into residues of one tower.
 u64 signed_mod(const BigInt& mag, bool neg, u64 q) {
   const u64 r = mag.mod_u64(q);
   return neg ? (r == 0 ? 0 : q - r) : r;
+}
+
+/// round(t * |x| / Q) for the oracle's (magnitude, sign) form of x.
+BigInt oracle_round_scaled(const BfvContext& ctx, const BigInt& mag) {
+  u64 carry = 0;
+  const BigInt num = mag.mul_small(ctx.t(), &carry);
+  if (carry != 0) throw std::logic_error("Bfv: t*x overflow");
+  return nt::div_round(num, ctx.big_q());
 }
 
 }  // namespace
@@ -104,19 +114,25 @@ Plaintext Bfv::decrypt(const SecretKey& sk, const Ciphertext& ct) const {
   Plaintext m;
   m.coeffs.assign(ctx_.n(), 0);
   const u64 t = ctx_.t();
-  // Coefficient-wise CRT lift + t/q rounding; each task owns a contiguous
-  // coefficient range and its own residue scratch.
+  const auto& qb = ctx_.q_basis();
+  const auto& conv = ctx_.q_to_aux();
+  // m = round(t x / Q) mod t with x the centered lift of v.  That is
+  // round(t sigma) - t round(sigma) for the CRT sum sigma of x's terms, so
+  // m = round(t sigma) mod t and the centering drops out.  Each task owns a
+  // contiguous coefficient range and its own residue scratch.
   ctx_.exec().for_ranges(ctx_.n(), [&](std::size_t lo, std::size_t hi) {
-    std::vector<u64> res(ctx_.q_basis().size());
+    std::vector<u64> res(qb.size()), s(qb.size());
     for (std::size_t j = lo; j < hi; ++j) {
       for (std::size_t i = 0; i < res.size(); ++i) res[i] = v.towers[i][j];
-      auto [mag, neg] = ctx_.q_basis().reconstruct_centered(res);
-      // round(t * |x| / Q) then fold the sign into Z_t.
-      u64 carry = 0;
-      const BigInt num = mag.mul_small(t, &carry);
-      if (carry != 0) throw std::logic_error("Bfv: t*x overflow");
-      const BigInt r = nt::div_round(num, ctx_.big_q());
-      const u64 mt = r.mod_u64(t);
+      conv.terms(res.data(), s.data());
+      u64 r = 0;
+      if (conv.round_scaled(s.data(), r)) {
+        m.coeffs[j] = r % t;
+        continue;
+      }
+      // Oracle: round(t * |x| / Q), then fold the sign into Z_t.
+      auto [mag, neg] = qb.reconstruct_centered(res);
+      const u64 mt = oracle_round_scaled(ctx_, mag).mod_u64(t);
       m.coeffs[j] = neg ? (mt == 0 ? 0 : t - mt) : mt;
     }
   });
@@ -162,43 +178,62 @@ Ciphertext Bfv::mul_plain(const Ciphertext& a, const Plaintext& m) const {
 }
 
 poly::RnsPoly Bfv::extend_centered(const RnsPoly& p) const {
-  const auto& qb = ctx_.q_basis();
-  const auto& eb = ctx_.ext_basis();
-  const BigInt half = qb.product() >> 1;
+  // The Q towers keep their residues; the engine's centered lift fills B.
+  RnsPoly aux = ctx_.q_to_aux().convert(p, Lift::kCentered, ctx_.exec());
   RnsPoly out;
-  out.towers.assign(eb.size(), Coeffs<u64>(ctx_.n()));
-  ctx_.exec().for_ranges(ctx_.n(), [&](std::size_t lo, std::size_t hi) {
-    std::vector<u64> res(qb.size());
-    for (std::size_t j = lo; j < hi; ++j) {
-      for (std::size_t i = 0; i < qb.size(); ++i) res[i] = p.towers[i][j];
-      BigInt x = qb.reconstruct(res);
-      const bool neg = x > half;
-      const BigInt mag = neg ? qb.product() - x : x;
-      for (std::size_t i = 0; i < eb.size(); ++i)
-        out.towers[i][j] = signed_mod(mag, neg, eb.modulus(i));
-    }
-  });
+  out.towers.reserve(ctx_.ext_basis().size());
+  for (std::size_t i = 0; i < p.num_towers(); ++i) {
+    const u64 q = ctx_.q_basis().modulus(i);
+    out.towers.push_back(p.towers[i]);
+    for (u64& c : out.towers.back()) c = c < q ? c : c % q;
+  }
+  for (auto& tower : aux.towers) out.towers.push_back(std::move(tower));
   return out;
 }
 
 poly::RnsPoly Bfv::scale_round_to_q(const RnsPoly& y_ext) const {
   const auto& qb = ctx_.q_basis();
   const auto& eb = ctx_.ext_basis();
+  const auto& up = ctx_.q_to_aux();
+  const auto& down = ctx_.aux_to_q();
+  const std::size_t nq = qb.size(), nb = eb.size() - nq;
+  const u64 t = ctx_.t();
   const BigInt half = eb.product() >> 1;
   RnsPoly out;
-  out.towers.assign(qb.size(), Coeffs<u64>(ctx_.n()));
+  out.towers.assign(nq, Coeffs<u64>(ctx_.n()));
+  // With y the centered lift over Q u B, write y = Q y' + r, r the centered
+  // lift of y mod Q.  Then round(t y / Q) = t y' + round(t r / Q), where
+  // round(t r / Q) = round(t sigma) - t v for r's CRT sum sigma and overflow
+  // count v, and y' = (y - r) / Q is known mod every B tower and lies in
+  // (-P/2, P/2), so the centered B -> Q conversion recovers it.
   ctx_.exec().for_ranges(ctx_.n(), [&](std::size_t lo, std::size_t hi) {
-    std::vector<u64> res(eb.size());
+    std::vector<u64> y(eb.size()), s(nq), yq(nb), sb(nb);
     for (std::size_t j = lo; j < hi; ++j) {
-      for (std::size_t i = 0; i < eb.size(); ++i) res[i] = y_ext.towers[i][j];
-      BigInt y = eb.reconstruct(res);
-      const bool neg = y > half;
-      const BigInt mag = neg ? eb.product() - y : y;
-      u64 carry = 0;
-      const BigInt num = mag.mul_small(ctx_.t(), &carry);
-      if (carry != 0) throw std::logic_error("Bfv: tensor scale overflow");
-      const BigInt m = nt::div_round(num, ctx_.big_q());
-      for (std::size_t i = 0; i < qb.size(); ++i)
+      for (std::size_t i = 0; i < eb.size(); ++i) y[i] = y_ext.towers[i][j];
+      u64 v = 0, vq = 0, rt = 0;
+      if (up.lift(y.data(), s.data(), Lift::kCentered, v) &&
+          up.round_scaled(s.data(), rt)) {
+        for (std::size_t b = 0; b < nb; ++b) {
+          const u64 p = eb.modulus(nq + b);
+          yq[b] = ctx_.q_inv_aux(b).mul(y[nq + b] + p - up.residue(s.data(), v, b));
+        }
+        if (down.lift(yq.data(), sb.data(), Lift::kCentered, vq)) {
+          // |round(t r / Q)| <= t/2 + 1, below every Q tower.
+          const auto rr = static_cast<std::int64_t>(rt - t * v);
+          for (std::size_t i = 0; i < nq; ++i) {
+            const u64 q = qb.modulus(i);
+            const u64 ty = ctx_.t_mod_q(i).mul(down.residue(sb.data(), vq, i));
+            out.towers[i][j] = qb.tower(i).add(
+                ty, rr >= 0 ? static_cast<u64>(rr) : q - static_cast<u64>(-rr));
+          }
+          continue;
+        }
+      }
+      // Oracle: round(t * |y| / Q) through the WideInt lift.
+      const BigInt big = eb.reconstruct(y);
+      const bool neg = big > half;
+      const BigInt m = oracle_round_scaled(ctx_, neg ? eb.product() - big : big);
+      for (std::size_t i = 0; i < nq; ++i)
         out.towers[i][j] = signed_mod(m, neg, qb.modulus(i));
     }
   });
@@ -260,18 +295,41 @@ void Bfv::validate_relin_keys(const RelinKeys& rk) const {
 
 std::vector<RnsPoly> Bfv::relin_digits(const RnsPoly& c2, const RelinKeys& rk) const {
   const auto& qb = ctx_.q_basis();
+  const auto& conv = ctx_.q_to_aux();
   const unsigned w = rk.digit_bits;
   const u64 mask = (w == 64) ? ~u64{0} : ((u64{1} << w) - 1);
+  bool digits_canonical = true;
+  for (std::size_t i = 0; i < qb.size(); ++i) digits_canonical &= mask < qb.modulus(i);
+  const std::size_t nl = conv.limb_count();
 
-  // Digit-decompose c2 over the integers: c2 = sum_d D_d 2^(w d).  Each
-  // task lifts a contiguous coefficient range; digit writes are disjoint.
+  // Digit-decompose c2 over the integers: c2 = sum_d D_d 2^(w d), with c2's
+  // unsigned lift written out as limbs by the engine.  Each task lifts a
+  // contiguous coefficient range; digit writes are disjoint.
   const std::size_t nd = rk.keys.size();
   std::vector<RnsPoly> digits(nd);
   for (auto& d : digits) d.towers.assign(qb.size(), Coeffs<u64>(ctx_.n(), 0));
   ctx_.exec().for_ranges(ctx_.n(), [&](std::size_t lo, std::size_t hi) {
-    std::vector<u64> res(qb.size());
+    std::vector<u64> res(qb.size()), s(qb.size()), limbs(nl);
     for (std::size_t j = lo; j < hi; ++j) {
       for (std::size_t i = 0; i < qb.size(); ++i) res[i] = c2.towers[i][j];
+      u64 v = 0;
+      if (conv.lift(res.data(), s.data(), Lift::kUnsigned, v)) {
+        conv.limbs(s.data(), v, limbs.data());
+        for (std::size_t d = 0; d < nd; ++d) {
+          const std::size_t bit = w * d, l = bit / 64, off = bit % 64;
+          u64 digit = l < nl ? limbs[l] >> off : 0;
+          if (off + w > 64 && l + 1 < nl) digit |= limbs[l + 1] << (64 - off);
+          digit &= mask;
+          if (digits_canonical) {
+            digits[d].towers[0][j] = digit;  // copied to every tower below
+            continue;
+          }
+          for (std::size_t i = 0; i < qb.size(); ++i)
+            digits[d].towers[i][j] = digit % qb.modulus(i);
+        }
+        continue;
+      }
+      // Oracle: shift the WideInt lift down one digit at a time.
       BigInt x = qb.reconstruct(res);
       for (std::size_t d = 0; d < nd; ++d) {
         const u64 digit = x.limb[0] & mask;
@@ -281,6 +339,10 @@ std::vector<RnsPoly> Bfv::relin_digits(const RnsPoly& c2, const RelinKeys& rk) c
       }
     }
   });
+  // A digit below every modulus has the same residue in every tower.
+  if (digits_canonical)
+    for (auto& d : digits)
+      for (std::size_t i = 1; i < qb.size(); ++i) d.towers[i] = d.towers[0];
   return digits;
 }
 
@@ -288,38 +350,36 @@ Ciphertext Bfv::relinearize(const Ciphertext& ct, const RelinKeys& rk) const {
   if (ct.size() != 3) throw std::invalid_argument("Bfv: relinearize expects 3 elements");
   validate_relin_keys(rk);
   const auto& qb = ctx_.q_basis();
+  const std::size_t nq = qb.size();
   const std::size_t nd = rk.keys.size();
-  const std::vector<RnsPoly> digits = relin_digits(ct.c[2], rk);
+  std::vector<RnsPoly> digits = relin_digits(ct.c[2], rk);
 
-  // Key-switch products: one task per (digit, component, tower) -- the
-  // relinearization digit loops are nd * 2 * towers independent negacyclic
-  // multiplications.
-  std::vector<RnsPoly> prod0(nd), prod1(nd);
-  for (auto& p : prod0) p.towers.resize(qb.size());
-  for (auto& p : prod1) p.towers.resize(qb.size());
-  ctx_.exec().for_each(nd * 2 * qb.size(), [&](std::size_t idx) {
-    const std::size_t d = idx / (2 * qb.size());
-    const std::size_t rem = idx % (2 * qb.size());
-    const std::size_t comp = rem / qb.size();
-    const std::size_t i = rem % qb.size();
-    const auto& key = comp == 0 ? rk.keys[d].first : rk.keys[d].second;
-    auto& out = comp == 0 ? prod0[d] : prod1[d];
-    out.towers[i] = ctx_.mul_tower(i, digits[d].towers[i], key.towers[i]);
+  // Key switching in the NTT domain (the dataflow Table X's cost model
+  // charges): each digit tower is transformed once, each key half is
+  // transformed into a transient scratch tower and multiply-accumulated, and
+  // one inverse transform per (component, tower) closes the sum.  The
+  // inverse is linear and every modular sum is canonical, so the result is
+  // the sum of the per-digit products bit for bit.  No NTT-form copy of the
+  // keys outlives the call.
+  ctx_.exec().for_each(nd * nq, [&](std::size_t idx) {
+    ctx_.ntt(idx % nq).forward(digits[idx / nq].towers[idx % nq]);
   });
-
   Ciphertext r;
   r.c.push_back(ct.c[0]);
   r.c.push_back(ct.c[1]);
-  // Accumulate per (component, tower), keeping the ascending-d order of the
-  // serial reference so sums are bit-identical.
-  ctx_.exec().for_each(2 * qb.size(), [&](std::size_t idx) {
-    const std::size_t comp = idx / qb.size();
-    const std::size_t i = idx % qb.size();
-    const auto& ring = qb.tower(i);
-    auto& acc = r.c[comp].towers[i];
-    const auto& prods = comp == 0 ? prod0 : prod1;
-    for (std::size_t d = 0; d < nd; ++d)
-      acc = poly::pointwise_add(ring, acc, prods[d].towers[i]);
+  ctx_.exec().for_each(2 * nq, [&](std::size_t idx) {
+    const std::size_t comp = idx / nq;
+    const std::size_t i = idx % nq;
+    const auto& ntt = ctx_.ntt(i);
+    Coeffs<u64> acc(ctx_.n(), 0), key;
+    for (std::size_t d = 0; d < nd; ++d) {
+      key = (comp == 0 ? rk.keys[d].first : rk.keys[d].second).towers[i];
+      ntt.forward(key);
+      ntt.mul_acc(acc, digits[d].towers[i], key);
+    }
+    ntt.inverse(acc);
+    auto& out = r.c[comp].towers[i];
+    out = poly::pointwise_add(qb.tower(i), out, acc);
   });
   return r;
 }

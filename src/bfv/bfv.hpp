@@ -4,10 +4,14 @@
 // Encryption follows Eqs. 2-3; homomorphic multiplication evaluates the
 // Eq. 4 tensor with exact arithmetic: inputs are base-extended (centered)
 // from Q to Q u B, the three tensor polynomials are computed with per-tower
-// NTTs, and the t/q rounding is done through an exact CRT lift -- no
-// floating-point approximation, so decryption correctness is provable and
-// the tests can assert exact plaintext results.  Relinearization uses
-// classic base-2^w digit decomposition key switching.
+// NTTs, and the t/q rounding maps the result back to Q.  The base
+// extension, the t/q rounding, the relin digit split and decryption's
+// rounding all run on poly::RnsConverter, whose 64-bit path hands every
+// coefficient it cannot decide exactly to the WideInt CRT oracle, so each
+// result equals the exact lift's bit for bit: decryption correctness stays
+// provable and the tests assert exact plaintext results.  Relinearization
+// uses classic base-2^w digit decomposition key switching, accumulated in
+// the NTT domain.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +90,10 @@ class Bfv {
   /// Eq. 4 tensor + t/q rounding; result has 3 components ("without
   /// relinearization", the Fig. 6 operation).
   [[nodiscard]] Ciphertext multiply(const Ciphertext& a, const Ciphertext& b) const;
-  /// Key switching back to 2 components.
+  /// Key switching back to 2 components: per Q tower, each digit is
+  /// transformed once, each key half is transformed into transient scratch
+  /// and multiply-accumulated, and one inverse transform per (component,
+  /// tower) closes the sum.
   [[nodiscard]] Ciphertext relinearize(const Ciphertext& ct, const RelinKeys& rk) const;
 
   /// Upper bound check helper for tests: decrypt noise budget proxy --

@@ -57,6 +57,9 @@ BfvContext::BfvContext(BfvParams params, backend::ExecPolicy policy)
         all.insert(all.end(), params_.aux_moduli.begin(), params_.aux_moduli.end());
         return poly::RnsBasis(all);
       }()),
+      aux_basis_(params_.aux_moduli),
+      q_to_aux_(q_basis_, aux_basis_, params_.t),
+      aux_to_q_(aux_basis_, q_basis_),
       exec_(policy) {
   // Twiddle-table construction is itself per-tower independent work (root
   // finding + O(n) table fills), so it runs on the same executor.
@@ -74,8 +77,16 @@ BfvContext::BfvContext(BfvParams params, backend::ExecPolicy policy)
   });
   delta_ = (q_basis_.product() / nt::WideInt<1>(params_.t)).resize_trunc<8>();
   delta_mod_q_.resize(q_basis_.size());
-  for (std::size_t i = 0; i < q_basis_.size(); ++i)
-    delta_mod_q_[i] = delta_.mod_u64(q_basis_.modulus(i));
+  for (std::size_t i = 0; i < q_basis_.size(); ++i) {
+    const u64 q = q_basis_.modulus(i);
+    delta_mod_q_[i] = delta_.mod_u64(q);
+    t_mod_q_.emplace_back(params_.t % q, q);
+  }
+  for (std::size_t j = 0; j < aux_basis_.size(); ++j) {
+    const auto& ring = aux_basis_.tower(j);
+    q_inv_aux_.emplace_back(ring.inv(q_basis_.product().mod_u64(ring.modulus())),
+                            ring.modulus());
+  }
 }
 
 poly::RnsPoly BfvContext::add(const poly::RnsPoly& a, const poly::RnsPoly& b) const {

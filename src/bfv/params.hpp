@@ -60,6 +60,8 @@ class BfvContext {
   [[nodiscard]] u64 t() const noexcept { return params_.t; }
   [[nodiscard]] const poly::RnsBasis& q_basis() const noexcept { return q_basis_; }
   [[nodiscard]] const poly::RnsBasis& ext_basis() const noexcept { return ext_basis_; }
+  /// The auxiliary towers of ext_basis() alone (B).
+  [[nodiscard]] const poly::RnsBasis& aux_basis() const noexcept { return aux_basis_; }
   [[nodiscard]] const BigInt& big_q() const noexcept { return q_basis_.product(); }
   /// Delta = floor(Q / t).
   [[nodiscard]] const BigInt& delta() const noexcept { return delta_; }
@@ -82,6 +84,14 @@ class BfvContext {
     return q_ntt_.at(i).negacyclic_mul(a, b);
   }
 
+  /// The RNS conversion engine from Q into B, prepared with t for the t/Q
+  /// rounding, and the one from B back into Q.
+  [[nodiscard]] const poly::RnsConverter& q_to_aux() const noexcept { return q_to_aux_; }
+  [[nodiscard]] const poly::RnsConverter& aux_to_q() const noexcept { return aux_to_q_; }
+  /// Q^-1 mod B tower j, and t mod Q tower i: the t/Q scaling's constants.
+  [[nodiscard]] const nt::ShoupMul& q_inv_aux(std::size_t j) const { return q_inv_aux_[j]; }
+  [[nodiscard]] const nt::ShoupMul& t_mod_q(std::size_t i) const { return t_mod_q_[i]; }
+
   /// Executor the evaluation loops run on (serial or pooled).
   [[nodiscard]] const backend::Executor& exec() const noexcept { return exec_; }
   /// Swap the serial reference path and the pooled path at runtime.  Not
@@ -101,6 +111,9 @@ class BfvContext {
   BfvParams params_;
   poly::RnsBasis q_basis_;
   poly::RnsBasis ext_basis_;  // Q followed by B
+  poly::RnsBasis aux_basis_;
+  poly::RnsConverter q_to_aux_, aux_to_q_;
+  std::vector<nt::ShoupMul> q_inv_aux_, t_mod_q_;
   std::vector<poly::MergedNtt64> q_ntt_;
   std::vector<poly::MergedNtt64> ext_ntt_;
   BigInt delta_{};

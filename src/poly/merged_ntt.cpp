@@ -67,6 +67,15 @@ Coeffs<u64> MergedNtt64::negacyclic_mul(const Coeffs<u64>& a,
   return ap;
 }
 
+void MergedNtt64::mul_acc(Coeffs<u64>& acc, const Coeffs<u64>& a,
+                          const Coeffs<u64>& b) const {
+  check(acc);
+  check(a);
+  check(b);
+  nt::simd::kernels().pointwise_mul_acc(acc.data(), a.data(), b.data(), n_,
+                                        red_.modulus(), red_.mu(), red_.k());
+}
+
 void MergedNtt64::tensor(const Coeffs<u64>& a0, const Coeffs<u64>& a1,
                          const Coeffs<u64>& b0, const Coeffs<u64>& b1,
                          Coeffs<u64>& y0, Coeffs<u64>& y1,

@@ -127,6 +127,10 @@ class MergedNtt64 {
   [[nodiscard]] Coeffs<u64> negacyclic_mul(const Coeffs<u64>& a,
                                            const Coeffs<u64>& b) const;
 
+  /// acc[i] = acc[i] + a[i] * b[i] mod q: the NTT-domain multiply-accumulate
+  /// of key switching.  Canonical residues in and out.
+  void mul_acc(Coeffs<u64>& acc, const Coeffs<u64>& a, const Coeffs<u64>& b) const;
+
   /// Fused BFV tensor for one tower: y0 = a0*b0, y1 = a0*b1 + a1*b0,
   /// y2 = a1*b1 (negacyclic products), computed with 4 forward transforms,
   /// 4 pointwise kernels and 3 inverse transforms in one pass structure.

@@ -64,6 +64,73 @@ std::pair<BigInt, bool> RnsBasis::reconstruct_centered(
   return {v, false};
 }
 
+RnsConverter::RnsConverter(const RnsBasis& from, const RnsBasis& to, u64 t)
+    : from_(from), to_(to), t_(t) {
+  const std::size_t k = from.size();
+  // The estimate's error bound (k^2 + 4k) 2^-53 must sit well inside kGuard.
+  fast_ = k > 0 && static_cast<double>(k * k + 4 * k) * 0x1p-53 <= kGuard / 2;
+  round_ = fast_ && t != 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const u64 f = from.modulus(i);
+    s_mul_.emplace_back(from.punctured_inv(i), f);
+    inv_f_.push_back(1.0 / static_cast<double>(f));
+    if (t >= f) round_ = false;
+    t_shoup_.push_back(t < f ? static_cast<u64>((static_cast<u128>(t) << 64) / f) : 0);
+  }
+  for (std::size_t j = 0; j < to.size(); ++j) {
+    const u64 p = to.modulus(j);
+    for (std::size_t i = 0; i < k; ++i)
+      hat_mod_.emplace_back(from.punctured(i).mod_u64(p), p);
+    const u64 f_mod = from.product().mod_u64(p);
+    for (u64 v = 0; v <= k; ++v) v_f_mod_.push_back(to.tower(j).mul(v % p, f_mod));
+  }
+  // sum_i s_i F_i < k F needs bit_len(F) + bit_len(k) bits.
+  limbs_ = (from.log_q() + nt::bit_length(static_cast<u64>(k)) + 63) / 64;
+  hat_limbs_.assign(k * limbs_, 0);
+  v_f_limbs_.assign((k + 1) * limbs_, 0);
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t l = 0; l < limbs_ && l < BigInt::limbs(); ++l)
+      hat_limbs_[i * limbs_ + l] = from.punctured(i).limb[l];
+  for (u64 v = 0; v <= k; ++v) {
+    u64 carry = 0;
+    for (std::size_t l = 0; l < limbs_; ++l) {
+      const u64 fl = l < BigInt::limbs() ? from.product().limb[l] : 0;
+      const u128 cur = static_cast<u128>(fl) * v + carry;
+      v_f_limbs_[v * limbs_ + l] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
+    }
+  }
+}
+
+RnsPoly RnsConverter::convert(const RnsPoly& p, Lift mode,
+                              const backend::Executor& exec) const {
+  if (p.num_towers() != from_.size())
+    throw std::invalid_argument("RnsConverter::convert: tower count mismatch");
+  const std::size_t n = p.n(), k = from_.size();
+  const BigInt half = from_.product() >> 1;
+  RnsPoly out;
+  out.towers.assign(to_.size(), Coeffs<u64>(n));
+  exec.for_ranges(n, [&](std::size_t lo, std::size_t hi) {
+    std::vector<u64> x(k), s(k);
+    for (std::size_t j = lo; j < hi; ++j) {
+      for (std::size_t i = 0; i < k; ++i) x[i] = p.towers[i][j];
+      u64 v = 0;
+      if (lift(x.data(), s.data(), mode, v)) {
+        for (std::size_t o = 0; o < to_.size(); ++o) out.towers[o][j] = residue(s.data(), v, o);
+        continue;
+      }
+      const BigInt big = from_.reconstruct(x);
+      const bool neg = mode == Lift::kCentered && big > half;
+      const BigInt mag = neg ? from_.product() - big : big;
+      for (std::size_t o = 0; o < to_.size(); ++o) {
+        const u64 r = mag.mod_u64(to_.modulus(o));
+        out.towers[o][j] = neg ? to_.tower(o).neg(r) : r;
+      }
+    }
+  });
+  return out;
+}
+
 RnsPoly rns_decompose(const RnsBasis& basis, const std::vector<BigInt>& coeffs) {
   return rns_decompose(basis, coeffs, backend::Executor{});
 }
@@ -107,21 +174,7 @@ std::vector<BigInt> rns_reconstruct(const RnsBasis& basis, const RnsPoly& p,
 
 RnsPoly rns_base_convert(const RnsBasis& from, const RnsBasis& to, const RnsPoly& p,
                          const backend::Executor& exec) {
-  if (p.num_towers() != from.size())
-    throw std::invalid_argument("rns_base_convert: tower count mismatch");
-  const std::size_t n = p.n();
-  RnsPoly out;
-  out.towers.assign(to.size(), Coeffs<u64>(n));
-  exec.for_ranges(n, [&](std::size_t lo, std::size_t hi) {
-    std::vector<u64> res(from.size());
-    for (std::size_t j = lo; j < hi; ++j) {
-      for (std::size_t i = 0; i < from.size(); ++i) res[i] = p.towers[i][j];
-      const BigInt x = from.reconstruct(res);
-      for (std::size_t i = 0; i < to.size(); ++i)
-        out.towers[i][j] = x.mod_u64(to.modulus(i));
-    }
-  });
-  return out;
+  return RnsConverter(from, to).convert(p, RnsConverter::Lift::kUnsigned, exec);
 }
 
 }  // namespace cofhee::poly

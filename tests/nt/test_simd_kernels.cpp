@@ -107,7 +107,9 @@ TEST(SimdDispatch, ActiveIsBestAvailable) {
   const Isa active = simd::active_isa();
   EXPECT_TRUE(simd::available(active));
   // When a vector lane is available, automatic detection must pick it.
-  if (!vector_lanes().empty()) EXPECT_NE(active, Isa::kScalar);
+  if (!vector_lanes().empty()) {
+    EXPECT_NE(active, Isa::kScalar);
+  }
 }
 
 TEST(SimdKernels, CtButterflyBitExact) {

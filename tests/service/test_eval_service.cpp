@@ -73,7 +73,7 @@ TEST(EvalService, DifferentialMatrixIsBitExact) {
                      " chips=" + std::to_string(chips) +
                      " batch=" + std::to_string(batch));
         ChipFarm farm(chips);
-        EvalService svc(f.scheme, farm, {strategy, batch});
+        EvalService svc(f.scheme, farm, {.strategy = strategy, .max_batch = batch});
         auto futures = svc.submit_batch(f.requests);
         for (std::size_t i = 0; i < futures.size(); ++i) {
           const auto got = futures[i].get();
@@ -214,7 +214,7 @@ TEST(EvalService, ShardedFourChipsMatchesSerialEvaluator) {
   chip::CofheeChip solo;
   driver::ChipBfvEvaluator serial(solo);
   ChipFarm farm(4);
-  EvalService svc(f.scheme, farm, {Strategy::kShardTowers});
+  EvalService svc(f.scheme, farm, {.strategy = Strategy::kShardTowers});
   auto futures = svc.submit_batch(f.requests);
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const auto want = serial.multiply(f.scheme, f.requests[i].a, f.requests[i].b);
@@ -227,7 +227,9 @@ TEST(EvalService, SerialDispatchMatchesPooled) {
   std::vector<bfv::Ciphertext> pooled, serial;
   for (bool pool : {true, false}) {
     ChipFarm farm(3);
-    EvalService svc(f.scheme, farm, {Strategy::kBatchPerChip, 4, pool});
+    EvalService svc(f.scheme, farm,
+                    {.strategy = Strategy::kBatchPerChip, .max_batch = 4,
+                     .pooled_dispatch = pool});
     auto futures = svc.submit_batch(f.requests);
     for (auto& fu : futures) (pool ? pooled : serial).push_back(fu.get());
   }
@@ -240,7 +242,8 @@ TEST(EvalService, StatsAccountTheWork) {
   ServiceFixture f;
   const std::size_t chips = 2;
   ChipFarm farm(chips);
-  EvalService svc(f.scheme, farm, {Strategy::kBatchPerChip, f.requests.size()});
+  EvalService svc(f.scheme, farm,
+                  {.strategy = Strategy::kBatchPerChip, .max_batch = f.requests.size()});
   auto futures = svc.submit_batch(f.requests);
   for (auto& fu : futures) (void)fu.get();
   svc.drain();
@@ -300,7 +303,7 @@ TEST(EvalService, RelinStatsAccountKeySwitchWork) {
 TEST(EvalService, RequestsPerSecUsesActiveWindowNotLifetime) {
   ServiceFixture f;
   ChipFarm farm(1);
-  EvalService svc(f.scheme, farm, {Strategy::kBatchPerChip, 4});
+  EvalService svc(f.scheme, farm, {.strategy = Strategy::kBatchPerChip, .max_batch = 4});
   auto futures = svc.submit_batch(f.requests);
   for (auto& fu : futures) (void)fu.get();
   svc.drain();
@@ -324,7 +327,8 @@ TEST(EvalService, BatchingAmortizesRingConfiguration) {
   ServiceFixture f;
   auto run = [&](std::size_t max_batch) {
     ChipFarm farm(1);
-    EvalService svc(f.scheme, farm, {Strategy::kBatchPerChip, max_batch});
+    EvalService svc(f.scheme, farm,
+                    {.strategy = Strategy::kBatchPerChip, .max_batch = max_batch});
     auto futures = svc.submit_batch(f.requests);
     for (auto& fu : futures) (void)fu.get();
     svc.drain();
@@ -345,7 +349,7 @@ TEST(EvalService, ShutdownDrainsTheQueue) {
   ChipFarm farm(2);
   std::vector<std::future<bfv::Ciphertext>> futures;
   {
-    EvalService svc(f.scheme, farm, {Strategy::kShardTowers, 2});
+    EvalService svc(f.scheme, farm, {.strategy = Strategy::kShardTowers, .max_batch = 2});
     futures = svc.submit_batch(f.requests);
     svc.shutdown();  // must complete every accepted request first
     EXPECT_THROW((void)svc.submit({f.requests[0].a, f.requests[0].b}),
@@ -358,7 +362,7 @@ TEST(EvalService, ShutdownDrainsTheQueue) {
 TEST(EvalService, MalformedRequestsAreRejectedWithoutPoisoningOthers) {
   ServiceFixture f;
   ChipFarm farm(2);
-  EvalService svc(f.scheme, farm, {Strategy::kBatchPerChip, 8});
+  EvalService svc(f.scheme, farm, {.strategy = Strategy::kBatchPerChip, .max_batch = 8});
   // 3-element ciphertext (un-relinearized product) is rejected at submit.
   EXPECT_THROW((void)svc.submit({f.expected[0], f.requests[0].b}),
                std::invalid_argument);

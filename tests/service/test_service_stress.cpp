@@ -47,7 +47,7 @@ TEST(ServiceStress, ConcurrentSubmittersGetBitExactResults) {
   for (Strategy strategy : {Strategy::kBatchPerChip, Strategy::kShardTowers}) {
     SCOPED_TRACE(static_cast<int>(strategy));
     ChipFarm farm(2);
-    EvalService svc(f.scheme, farm, {strategy, /*max_batch=*/8});
+    EvalService svc(f.scheme, farm, {.strategy = strategy, .max_batch = 8});
     std::atomic<int> mismatches{0};
 
     backend::ThreadPool producers(kProducers);
@@ -150,7 +150,7 @@ TEST(ServiceStress, PipelinedMixedKindRoundsUnderConcurrentSubmitters) {
 TEST(ServiceStress, InterleavedSubmitAndStatsPolling) {
   StressFixture f;
   ChipFarm farm(2);
-  EvalService svc(f.scheme, farm, {Strategy::kShardTowers, 4});
+  EvalService svc(f.scheme, farm, {.strategy = Strategy::kShardTowers, .max_batch = 4});
   const EvalMultRequest proto{f.scheme.encrypt(f.pk, f.enc.encode(9)),
                               f.scheme.encrypt(f.pk, f.enc.encode(-4))};
   const auto want = f.scheme.multiply(proto.a, proto.b);
