@@ -298,8 +298,6 @@ std::vector<RnsPoly> Bfv::relin_digits(const RnsPoly& c2, const RelinKeys& rk) c
   const auto& conv = ctx_.q_to_aux();
   const unsigned w = rk.digit_bits;
   const u64 mask = (w == 64) ? ~u64{0} : ((u64{1} << w) - 1);
-  bool digits_canonical = true;
-  for (std::size_t i = 0; i < qb.size(); ++i) digits_canonical &= mask < qb.modulus(i);
   const std::size_t nl = conv.limb_count();
 
   // Digit-decompose c2 over the integers: c2 = sum_d D_d 2^(w d), with c2's
@@ -308,6 +306,12 @@ std::vector<RnsPoly> Bfv::relin_digits(const RnsPoly& c2, const RelinKeys& rk) c
   const std::size_t nd = rk.keys.size();
   std::vector<RnsPoly> digits(nd);
   for (auto& d : digits) d.towers.assign(qb.size(), Coeffs<u64>(ctx_.n(), 0));
+  const auto put = [&](std::size_t d, std::size_t j, u64 digit) {
+    for (std::size_t i = 0; i < qb.size(); ++i) {
+      const u64 q = qb.modulus(i);
+      digits[d].towers[i][j] = digit < q ? digit : digit % q;
+    }
+  };
   ctx_.exec().for_ranges(ctx_.n(), [&](std::size_t lo, std::size_t hi) {
     std::vector<u64> res(qb.size()), s(qb.size()), limbs(nl);
     for (std::size_t j = lo; j < hi; ++j) {
@@ -319,30 +323,18 @@ std::vector<RnsPoly> Bfv::relin_digits(const RnsPoly& c2, const RelinKeys& rk) c
           const std::size_t bit = w * d, l = bit / 64, off = bit % 64;
           u64 digit = l < nl ? limbs[l] >> off : 0;
           if (off + w > 64 && l + 1 < nl) digit |= limbs[l + 1] << (64 - off);
-          digit &= mask;
-          if (digits_canonical) {
-            digits[d].towers[0][j] = digit;  // copied to every tower below
-            continue;
-          }
-          for (std::size_t i = 0; i < qb.size(); ++i)
-            digits[d].towers[i][j] = digit % qb.modulus(i);
+          put(d, j, digit & mask);
         }
         continue;
       }
       // Oracle: shift the WideInt lift down one digit at a time.
       BigInt x = qb.reconstruct(res);
       for (std::size_t d = 0; d < nd; ++d) {
-        const u64 digit = x.limb[0] & mask;
+        put(d, j, x.limb[0] & mask);
         x >>= w;
-        for (std::size_t i = 0; i < qb.size(); ++i)
-          digits[d].towers[i][j] = digit % qb.modulus(i);
       }
     }
   });
-  // A digit below every modulus has the same residue in every tower.
-  if (digits_canonical)
-    for (auto& d : digits)
-      for (std::size_t i = 1; i < qb.size(); ++i) d.towers[i] = d.towers[0];
   return digits;
 }
 

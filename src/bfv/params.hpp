@@ -78,12 +78,6 @@ class BfvContext {
     return ext_ntt_.at(tower);
   }
 
-  /// Negacyclic product of two coefficient-domain polynomials in tower i.
-  [[nodiscard]] poly::Coeffs<u64> mul_tower(std::size_t i, const poly::Coeffs<u64>& a,
-                                            const poly::Coeffs<u64>& b) const {
-    return q_ntt_.at(i).negacyclic_mul(a, b);
-  }
-
   /// The RNS conversion engine from Q into B, prepared with t for the t/Q
   /// rounding, and the one from B back into Q.
   [[nodiscard]] const poly::RnsConverter& q_to_aux() const noexcept { return q_to_aux_; }

@@ -99,13 +99,13 @@ struct RnsPoly {
 /// where the overflow count v is floor(sigma) for the unsigned lift of x into
 /// [0, F) and round(sigma) for the centered lift into (-F/2, F/2), with
 /// sigma = sum_i s_i / f_i in [0, |from|).  terms() computes every s_i with a
-/// Shoup product and an estimate of sigma in double, overflow() takes v from
-/// that estimate, and lift() does both.  The steps after it are exact
-/// integer arithmetic on 64-bit words: a residue in to-tower j is
-/// sum_i s_i (F_i mod p_j) - v (F mod p_j) (Shoup products again), and
-/// limbs() writes x itself as 64-bit limbs.  The estimate is off by less
+/// Shoup product and an estimate of sigma in double; lift() also takes v
+/// from that estimate.  The steps after it are exact integer arithmetic on
+/// 64-bit words: a residue in to-tower j is sum_i s_i (F_i mod p_j) -
+/// v (F mod p_j) (Shoup products again), and limbs() writes x itself as
+/// 64-bit limbs.  The estimate is off by less
 /// than (k^2 + 4k) 2^-53 for k source towers, far below kGuard; whenever it
-/// lies within kGuard of the boundary its decision depends on, overflow()
+/// lies within kGuard of the boundary its decision depends on, lift()
 /// returns false and the caller takes that one coefficient through the
 /// WideInt oracle (RnsBasis::reconstruct).  So every result is the oracle's,
 /// bit for bit (tests/bfv/test_rns_conversions.cpp holds that contract).
@@ -126,7 +126,6 @@ class RnsConverter {
   /// which the double estimate is not trusted.
   static constexpr double kGuard = 0x1p-40;
 
-  RnsConverter() = default;
   /// Conversion from `from` into `to` (`to` may be empty when only the
   /// per-coefficient steps are used).  A nonzero `t` also prepares
   /// round_scaled(); it must be below every `from` modulus, or round_scaled
@@ -149,35 +148,8 @@ class RnsConverter {
     return est;
   }
 
-  /// The overflow count v for an estimate of sigma.  False when the
-  /// estimate is too close to call.
-  bool overflow(double est, Lift mode, u64& v) const noexcept {
-    if (!fast_) return false;
-    const u64 k = s_mul_.size();
-    const double m = std::floor(est);
-    const double fr = est - m;  // exact (Sterbenz)
-    const auto whole = static_cast<u64>(m);
-    if (mode == Lift::kCentered) {
-      if (std::fabs(fr - 0.5) < kGuard) return false;
-      v = whole + (fr > 0.5 ? 1 : 0);
-      return true;
-    }
-    // sigma lies in [0, k): an estimate near 0 or k is decided by the range.
-    if (fr < kGuard) {
-      if (whole == 0) return v = 0, true;
-      if (whole >= k) return v = k - 1, true;
-      return false;
-    }
-    if (fr > 1.0 - kGuard) {
-      if (whole + 1 >= k) return v = whole, true;
-      return false;
-    }
-    v = whole;
-    return true;
-  }
-
-  /// terms() then overflow(): the CRT terms and overflow count of one
-  /// coefficient, or false when the caller must use the oracle.
+  /// The CRT terms and overflow count v of one coefficient, or false when
+  /// the estimate is too close to call and the caller must use the oracle.
   bool lift(const u64* x, u64* s, Lift mode, u64& v) const noexcept {
     return overflow(terms(x, s), mode, v);
   }
@@ -244,6 +216,33 @@ class RnsConverter {
   }
 
  private:
+  /// The overflow count v for an estimate of sigma.  False when the
+  /// estimate is too close to call.
+  bool overflow(double est, Lift mode, u64& v) const noexcept {
+    if (!fast_) return false;
+    const u64 k = s_mul_.size();
+    const double m = std::floor(est);
+    const double fr = est - m;  // exact (Sterbenz)
+    const auto whole = static_cast<u64>(m);
+    if (mode == Lift::kCentered) {
+      if (std::fabs(fr - 0.5) < kGuard) return false;
+      v = whole + (fr > 0.5 ? 1 : 0);
+      return true;
+    }
+    // sigma lies in [0, k): an estimate near 0 or k is decided by the range.
+    if (fr < kGuard) {
+      if (whole == 0) return v = 0, true;
+      if (whole >= k) return v = k - 1, true;
+      return false;
+    }
+    if (fr > 1.0 - kGuard) {
+      if (whole + 1 >= k) return v = whole, true;
+      return false;
+    }
+    v = whole;
+    return true;
+  }
+
   RnsBasis from_, to_;
   bool fast_ = false;   // estimate error provably below kGuard
   bool round_ = false;  // t prepared and below every from modulus

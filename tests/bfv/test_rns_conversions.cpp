@@ -383,7 +383,7 @@ TEST_P(RnsConversions, RelinearizeMatchesPerProductLoop) {
       for (std::size_t i = 0; i < qb.size(); ++i)
         want.c[comp].towers[i] = poly::pointwise_add(
             qb.tower(i), want.c[comp].towers[i],
-            ctx().mul_tower(i, digits[d].towers[i], key.towers[i]));
+            ctx().ntt(i).negacyclic_mul(digits[d].towers[i], key.towers[i]));
     }
   const Ciphertext got = scheme().relinearize(prod, s().rk);
   ASSERT_EQ(got.size(), 2u);
