@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
   // exactly the io + compute it added to its ChipMulReport, so the "phase"
   // track total must match the summed ServiceStats to within 1% (it is
   // exact by construction; the margin absorbs float accumulation order).
-  if (io.trace() != nullptr && obs::TraceRecorder::enabled()) {
+  if (io.trace() != nullptr) {
     const double traced = io.trace()->sim_category_seconds("phase");
     if (std::abs(traced - sim_total) > 0.01 * sim_total) {
       std::fprintf(stderr,

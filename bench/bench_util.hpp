@@ -14,9 +14,7 @@
 //                         read it via chips(); others ignore it)
 //
 // A TraceRecorder is constructed only when --trace is given, so the traced
-// code paths stay on their single-pointer-check fast path by default.  In a
-// COFHEE_TRACING=0 build the flag still parses and the output file is a
-// valid empty trace.
+// code paths stay on their single-pointer-check fast path by default.
 #pragma once
 
 #include <cstdio>

@@ -24,22 +24,6 @@ CpuTensorKernel::Output CpuTensorKernel::multiply(const RnsPoly& a0,
                                                   const RnsPoly& a1,
                                                   const RnsPoly& b0,
                                                   const RnsPoly& b1) const {
-  return multiply_on(a0, a1, b0, b1, exec_);
-}
-
-CpuTensorKernel::Output CpuTensorKernel::multiply(const RnsPoly& a0,
-                                                  const RnsPoly& a1,
-                                                  const RnsPoly& b0,
-                                                  const RnsPoly& b1,
-                                                  ThreadPool& pool) const {
-  return multiply_on(a0, a1, b0, b1, Executor::attach(pool));
-}
-
-CpuTensorKernel::Output CpuTensorKernel::multiply_on(const RnsPoly& a0,
-                                                     const RnsPoly& a1,
-                                                     const RnsPoly& b0,
-                                                     const RnsPoly& b1,
-                                                     const Executor& exec) const {
   if (a0.num_towers() != towers())
     throw std::invalid_argument("CpuTensorKernel: tower count mismatch");
   Output out;
@@ -51,7 +35,7 @@ CpuTensorKernel::Output CpuTensorKernel::multiply_on(const RnsPoly& a0,
   // forward transforms, 4 pointwise kernels, 3 inverse transforms with lazy
   // reduction and SIMD dispatch inside) -- no intermediate NTT-form wave is
   // materialized between a forward and a tensor stage anymore.
-  exec.for_each(towers(), [&](std::size_t tw) {
+  exec_.for_each(towers(), [&](std::size_t tw) {
     ntts_[tw].tensor(a0.towers[tw], a1.towers[tw], b0.towers[tw],
                      b1.towers[tw], out.y0.towers[tw], out.y1.towers[tw],
                      out.y2.towers[tw]);

@@ -20,13 +20,6 @@ Executor::Executor(ExecPolicy policy) : policy_(policy) {
     pool_ = std::make_shared<ThreadPool>(resolve_threads(policy_.threads));
 }
 
-Executor Executor::attach(ThreadPool& pool, std::size_t grain) {
-  ExecPolicy p = ExecPolicy::pooled(pool.size(), grain);
-  // Aliasing constructor: shares ownership of nothing, points at the
-  // caller's pool without deleting it.
-  return Executor(p, std::shared_ptr<ThreadPool>(std::shared_ptr<void>{}, &pool));
-}
-
 void Executor::for_each(std::size_t count,
                         const std::function<void(std::size_t)>& fn) const {
   if (pool_ && count > 1) {

@@ -57,17 +57,11 @@ class Executor {
   /// Owns a fresh pool when the policy is pooled.
   explicit Executor(ExecPolicy policy);
 
-  /// Non-owning: drains into an existing pool (the caller keeps it alive for
-  /// the executor's lifetime).  Used by the legacy CpuTensorKernel overload
-  /// that takes an explicit ThreadPool&.
-  [[nodiscard]] static Executor attach(ThreadPool& pool, std::size_t grain = 64);
-
   [[nodiscard]] const ExecPolicy& policy() const noexcept { return policy_; }
   /// Worker count the loops fan out over (1 for the serial path).
   [[nodiscard]] std::size_t concurrency() const noexcept {
     return pool_ ? pool_->size() : 1;
   }
-  [[nodiscard]] ThreadPool* pool() const noexcept { return pool_.get(); }
 
   /// fn(i) for i in [0, count); one pooled task per index.
   void for_each(std::size_t count, const std::function<void(std::size_t)>& fn) const;
@@ -78,9 +72,6 @@ class Executor {
                   const std::function<void(std::size_t, std::size_t)>& fn) const;
 
  private:
-  Executor(ExecPolicy policy, std::shared_ptr<ThreadPool> pool)
-      : policy_(policy), pool_(std::move(pool)) {}
-
   ExecPolicy policy_;
   std::shared_ptr<ThreadPool> pool_;  // null when serial
 };

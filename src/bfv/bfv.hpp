@@ -6,7 +6,7 @@
 // from Q to Q u B, the three tensor polynomials are computed with per-tower
 // NTTs, and the t/q rounding maps the result back to Q.  The base
 // extension, the t/q rounding, the relin digit split and decryption's
-// rounding all run on poly::RnsConverter, whose 64-bit path hands every
+// rounding are poly::RnsTool operations, whose 64-bit engine hands every
 // coefficient it cannot decide exactly to the WideInt CRT oracle, so each
 // result equals the exact lift's bit for bit: decryption correctness stays
 // provable and the tests assert exact plaintext results.  Relinearization
@@ -104,10 +104,10 @@ class Bfv {
   /// elsewhere (the chip-backed evaluator in driver/chip_bfv.hpp): centered
   /// exact base extension Q -> Q u B, and the t/q rounding back to Q.
   [[nodiscard]] poly::RnsPoly extend_centered_public(const poly::RnsPoly& p) const {
-    return extend_centered(p);
+    return ctx_.rns().extend_centered(p, ctx_.exec());
   }
   [[nodiscard]] poly::RnsPoly scale_round_public(const poly::RnsPoly& y_ext) const {
-    return scale_round_to_q(y_ext);
+    return ctx_.rns().scale_round(y_ext, ctx_.exec());
   }
 
   /// Base-2^w digit decomposition of `c2` over the Q basis: the host half of
@@ -118,7 +118,7 @@ class Bfv {
   [[nodiscard]] std::vector<poly::RnsPoly> relin_digits_public(
       const poly::RnsPoly& c2, const RelinKeys& rk) const {
     validate_relin_keys(rk);
-    return relin_digits(c2, rk);
+    return ctx_.rns().digits(c2, rk.digit_bits, rk.keys.size(), ctx_.exec());
   }
 
   /// Reject relinearization keys generated at a different level or ring:
@@ -129,13 +129,6 @@ class Bfv {
 
  private:
   [[nodiscard]] poly::RnsPoly sample_small_rns(bool ternary);
-  /// Centered exact base extension Q -> Q u B of one polynomial.
-  [[nodiscard]] poly::RnsPoly extend_centered(const poly::RnsPoly& p) const;
-  /// round(t * y / Q) mod Q for a polynomial given in the extended basis.
-  [[nodiscard]] poly::RnsPoly scale_round_to_q(const poly::RnsPoly& y_ext) const;
-  /// Digit decomposition behind relinearize()/relin_digits_public().
-  [[nodiscard]] std::vector<poly::RnsPoly> relin_digits(const poly::RnsPoly& c2,
-                                                        const RelinKeys& rk) const;
 
   BfvContext ctx_;
   poly::Rng rng_;

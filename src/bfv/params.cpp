@@ -51,49 +51,27 @@ unsigned BfvParams::log_q() const {
 }
 
 BfvContext::BfvContext(BfvParams params, backend::ExecPolicy policy)
-    : params_(std::move(params)), q_basis_(params_.q_moduli),
-      ext_basis_([&] {
-        std::vector<u64> all = params_.q_moduli;
-        all.insert(all.end(), params_.aux_moduli.begin(), params_.aux_moduli.end());
-        return poly::RnsBasis(all);
-      }()),
-      aux_basis_(params_.aux_moduli),
-      q_to_aux_(q_basis_, aux_basis_, params_.t),
-      aux_to_q_(aux_basis_, q_basis_),
+    : params_(std::move(params)),
+      rns_(params_.q_moduli, params_.aux_moduli, params_.t),
       exec_(policy) {
   // Twiddle-table construction is itself per-tower independent work (root
   // finding + O(n) table fills), so it runs on the same executor.
-  q_ntt_.resize(q_basis_.size());
-  exec_.for_each(q_basis_.size(), [&](std::size_t i) {
-    const u64 q = q_basis_.modulus(i);
-    q_ntt_[i] = poly::MergedNtt64(q_basis_.tower(i), params_.n,
-                                  nt::primitive_2nth_root(q, params_.n));
-  });
-  ext_ntt_.resize(ext_basis_.size());
-  exec_.for_each(ext_basis_.size(), [&](std::size_t i) {
-    const u64 q = ext_basis_.modulus(i);
-    ext_ntt_[i] = poly::MergedNtt64(ext_basis_.tower(i), params_.n,
+  ext_ntt_.resize(ext_basis().size());
+  exec_.for_each(ext_basis().size(), [&](std::size_t i) {
+    const u64 q = ext_basis().modulus(i);
+    ext_ntt_[i] = poly::MergedNtt64(ext_basis().tower(i), params_.n,
                                     nt::primitive_2nth_root(q, params_.n));
   });
-  delta_ = (q_basis_.product() / nt::WideInt<1>(params_.t)).resize_trunc<8>();
-  delta_mod_q_.resize(q_basis_.size());
-  for (std::size_t i = 0; i < q_basis_.size(); ++i) {
-    const u64 q = q_basis_.modulus(i);
-    delta_mod_q_[i] = delta_.mod_u64(q);
-    t_mod_q_.emplace_back(params_.t % q, q);
-  }
-  for (std::size_t j = 0; j < aux_basis_.size(); ++j) {
-    const auto& ring = aux_basis_.tower(j);
-    q_inv_aux_.emplace_back(ring.inv(q_basis_.product().mod_u64(ring.modulus())),
-                            ring.modulus());
-  }
+  const BigInt delta = (q_basis().product() / nt::WideInt<1>(params_.t)).resize_trunc<8>();
+  for (std::size_t i = 0; i < q_basis().size(); ++i)
+    delta_mod_q_.push_back(delta.mod_u64(q_basis().modulus(i)));
 }
 
 poly::RnsPoly BfvContext::add(const poly::RnsPoly& a, const poly::RnsPoly& b) const {
   poly::RnsPoly r;
   r.towers.reserve(a.num_towers());
   for (std::size_t i = 0; i < a.num_towers(); ++i)
-    r.towers.push_back(poly::pointwise_add(q_basis_.tower(i), a.towers[i], b.towers[i]));
+    r.towers.push_back(poly::pointwise_add(q_basis().tower(i), a.towers[i], b.towers[i]));
   return r;
 }
 
@@ -101,7 +79,7 @@ poly::RnsPoly BfvContext::sub(const poly::RnsPoly& a, const poly::RnsPoly& b) co
   poly::RnsPoly r;
   r.towers.reserve(a.num_towers());
   for (std::size_t i = 0; i < a.num_towers(); ++i)
-    r.towers.push_back(poly::pointwise_sub(q_basis_.tower(i), a.towers[i], b.towers[i]));
+    r.towers.push_back(poly::pointwise_sub(q_basis().tower(i), a.towers[i], b.towers[i]));
   return r;
 }
 
@@ -111,7 +89,7 @@ poly::RnsPoly BfvContext::mul(const poly::RnsPoly& a, const poly::RnsPoly& b) co
   poly::RnsPoly r;
   r.towers.resize(a.num_towers());
   exec_.for_each(a.num_towers(), [&](std::size_t i) {
-    r.towers[i] = q_ntt_.at(i).negacyclic_mul(a.towers[i], b.towers[i]);
+    r.towers[i] = ntt(i).negacyclic_mul(a.towers[i], b.towers[i]);
   });
   return r;
 }
@@ -120,13 +98,13 @@ poly::RnsPoly BfvContext::neg(const poly::RnsPoly& a) const {
   poly::RnsPoly r;
   r.towers.reserve(a.num_towers());
   for (std::size_t i = 0; i < a.num_towers(); ++i)
-    r.towers.push_back(poly::negate(q_basis_.tower(i), a.towers[i]));
+    r.towers.push_back(poly::negate(q_basis().tower(i), a.towers[i]));
   return r;
 }
 
 poly::RnsPoly BfvContext::zero() const {
   poly::RnsPoly r;
-  r.towers.assign(q_basis_.size(), poly::Coeffs<u64>(params_.n, 0));
+  r.towers.assign(q_basis().size(), poly::Coeffs<u64>(params_.n, 0));
   return r;
 }
 

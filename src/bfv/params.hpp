@@ -58,33 +58,29 @@ class BfvContext {
   [[nodiscard]] const BfvParams& params() const noexcept { return params_; }
   [[nodiscard]] std::size_t n() const noexcept { return params_.n; }
   [[nodiscard]] u64 t() const noexcept { return params_.t; }
-  [[nodiscard]] const poly::RnsBasis& q_basis() const noexcept { return q_basis_; }
-  [[nodiscard]] const poly::RnsBasis& ext_basis() const noexcept { return ext_basis_; }
+  [[nodiscard]] const poly::RnsBasis& q_basis() const noexcept { return rns_.q_basis(); }
+  [[nodiscard]] const poly::RnsBasis& ext_basis() const noexcept { return rns_.ext_basis(); }
   /// The auxiliary towers of ext_basis() alone (B).
-  [[nodiscard]] const poly::RnsBasis& aux_basis() const noexcept { return aux_basis_; }
-  [[nodiscard]] const BigInt& big_q() const noexcept { return q_basis_.product(); }
-  /// Delta = floor(Q / t).
-  [[nodiscard]] const BigInt& delta() const noexcept { return delta_; }
+  [[nodiscard]] const poly::RnsBasis& aux_basis() const noexcept { return rns_.aux_basis(); }
+  [[nodiscard]] const BigInt& big_q() const noexcept { return q_basis().product(); }
+  /// Delta = floor(Q / t) mod Q tower `tower`.
   [[nodiscard]] u64 delta_mod(std::size_t tower) const { return delta_mod_q_.at(tower); }
 
   // Tower engines are the fused/SIMD MergedNtt64 path (lazy-reduction
   // butterflies, Shoup twiddles, nt::simd dispatch); NegacyclicNtt64 stays
   // available in poly/ntt.hpp as the unfused scalar reference the
-  // differential suites compare against.
+  // differential suites compare against.  ext_basis() starts with Q, so Q
+  // tower i shares ext tower i's engine.
   [[nodiscard]] const poly::MergedNtt64& ntt(std::size_t tower) const {
-    return q_ntt_.at(tower);
+    return ext_ntt_.at(tower);
   }
   [[nodiscard]] const poly::MergedNtt64& ext_ntt(std::size_t tower) const {
     return ext_ntt_.at(tower);
   }
 
-  /// The RNS conversion engine from Q into B, prepared with t for the t/Q
-  /// rounding, and the one from B back into Q.
-  [[nodiscard]] const poly::RnsConverter& q_to_aux() const noexcept { return q_to_aux_; }
-  [[nodiscard]] const poly::RnsConverter& aux_to_q() const noexcept { return aux_to_q_; }
-  /// Q^-1 mod B tower j, and t mod Q tower i: the t/Q scaling's constants.
-  [[nodiscard]] const nt::ShoupMul& q_inv_aux(std::size_t j) const { return q_inv_aux_[j]; }
-  [[nodiscard]] const nt::ShoupMul& t_mod_q(std::size_t i) const { return t_mod_q_[i]; }
+  /// The bases and the exact conversions between them: centered extension,
+  /// t/Q scaling, decryption rounding and the relin digit split.
+  [[nodiscard]] const poly::RnsTool& rns() const noexcept { return rns_; }
 
   /// Executor the evaluation loops run on (serial or pooled).
   [[nodiscard]] const backend::Executor& exec() const noexcept { return exec_; }
@@ -103,14 +99,8 @@ class BfvContext {
 
  private:
   BfvParams params_;
-  poly::RnsBasis q_basis_;
-  poly::RnsBasis ext_basis_;  // Q followed by B
-  poly::RnsBasis aux_basis_;
-  poly::RnsConverter q_to_aux_, aux_to_q_;
-  std::vector<nt::ShoupMul> q_inv_aux_, t_mod_q_;
-  std::vector<poly::MergedNtt64> q_ntt_;
+  poly::RnsTool rns_;
   std::vector<poly::MergedNtt64> ext_ntt_;
-  BigInt delta_{};
   std::vector<u64> delta_mod_q_;
   backend::Executor exec_;
 };

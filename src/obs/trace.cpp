@@ -1,13 +1,10 @@
 #include "obs/trace.hpp"
 
-#include <fstream>
-#include <ostream>
-
-#if COFHEE_TRACING
-
 #include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <iomanip>
+#include <ostream>
 #include <sstream>
 #include <utility>
 
@@ -383,22 +380,3 @@ bool TraceRecorder::write_json_file(const std::string& path) const {
 }
 
 }  // namespace cofhee::obs
-
-#else  // !COFHEE_TRACING
-
-namespace cofhee::obs {
-
-void TraceRecorder::write_json(std::ostream& os) const {
-  os << "{\"traceEvents\":[]}\n";
-}
-
-bool TraceRecorder::write_json_file(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) return false;
-  write_json(os);
-  return os.good();
-}
-
-}  // namespace cofhee::obs
-
-#endif  // COFHEE_TRACING

@@ -31,31 +31,20 @@
 // happens-before for free -- drain() / shutdown() join all outstanding
 // stage work before returning -- which is what keeps the chaos battery
 // TSan-clean.
-//
-// Compile-time gate: building with -DCOFHEE_TRACING=0 (CMake option
-// COFHEE_TRACING=OFF) replaces the whole recorder with inline no-ops, so
-// instrumented call sites cost literally nothing.
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
 #include <map>
-#include <string>
-
-#ifndef COFHEE_TRACING
-#define COFHEE_TRACING 1
-#endif
-
-#if COFHEE_TRACING
-#include <array>
-#include <atomic>
-#include <chrono>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
-#endif
 
 namespace cofhee::obs {
 
@@ -99,8 +88,6 @@ struct TraceEvent {
   TraceArg args[kMaxTraceArgs] = {};
 };
 
-#if COFHEE_TRACING
-
 /// Collects trace events lock-free per thread and exports Chrome
 /// trace-event JSON (see file comment).  All recording methods are safe to
 /// call concurrently; export/aggregation require quiescence.
@@ -136,7 +123,7 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  /// True when tracing is compiled in (this variant).
+  /// Tracing is always compiled in; kept for callers that still ask.
   static constexpr bool enabled() noexcept { return true; }
 
   /// Microseconds of wall clock since recorder construction.
@@ -267,65 +254,5 @@ class TraceRecorder {
   std::vector<std::unique_ptr<ThreadBuf>> bufs_;
   std::map<std::uint32_t, std::string> track_names_;
 };
-
-#else  // !COFHEE_TRACING -- the zero-cost stub: identical surface, no state.
-
-/// No-op tracing stub compiled when COFHEE_TRACING=0; see the enabled
-/// variant for semantics.  Every method is an empty inline, so call sites
-/// vanish entirely.
-class TraceRecorder {
- public:
-  static constexpr std::uint32_t kPidWall = 1;
-  static constexpr std::uint32_t kPidSim = 2;
-  static constexpr std::uint32_t kMaxSimTracks = 256;
-  static constexpr std::uint32_t kSimTrackHostModel = kMaxSimTracks - 2;
-  static constexpr std::uint32_t kSimTrackChipModel = kMaxSimTracks - 1;
-
-  static constexpr std::uint32_t sim_track_chip_phase(std::size_t chip) noexcept {
-    return static_cast<std::uint32_t>(2 * chip);
-  }
-  static constexpr std::uint32_t sim_track_chip_link(std::size_t chip) noexcept {
-    return static_cast<std::uint32_t>(2 * chip + 1);
-  }
-
-  static constexpr bool enabled() noexcept { return false; }
-
-  [[nodiscard]] double now_us() const noexcept { return 0; }
-
-  class WallSpan {
-   public:
-    WallSpan() = default;
-    WallSpan(TraceRecorder*, const char*, const char*, TraceArgs = {}) {}
-    void end() noexcept {}
-    void arg(const char*, double) noexcept {}
-  };
-
-  [[nodiscard]] WallSpan span_wall(const char*, const char*, TraceArgs = {}) {
-    return {};
-  }
-  void instant_wall(const char*, const char*, TraceArgs = {}) {}
-  void async_begin(std::uint64_t, const char*, const char*, TraceArgs = {}) {}
-  void async_end(std::uint64_t, const char*, const char*, TraceArgs = {}) {}
-  void span_sim(std::uint32_t, const char*, const char*, double, TraceArgs = {}) {}
-  void span_sim_at(std::uint32_t, const char*, const char*, double, double,
-                   TraceArgs = {}) {}
-  void instant_sim(std::uint32_t, const char*, const char*, TraceArgs = {}) {}
-  void name_thread(const char*) {}
-  void name_sim_track(std::uint32_t, std::string) {}
-
-  [[nodiscard]] std::size_t event_count() const { return 0; }
-  [[nodiscard]] std::size_t count_events(const char*, const char* = nullptr) const {
-    return 0;
-  }
-  [[nodiscard]] double sim_category_seconds(const char*) const { return 0; }
-  [[nodiscard]] std::map<std::string, double> sim_phase_breakdown(
-      const char* = "phase") const {
-    return {};
-  }
-  void write_json(std::ostream& os) const;
-  bool write_json_file(const std::string& path) const;
-};
-
-#endif  // COFHEE_TRACING
 
 }  // namespace cofhee::obs

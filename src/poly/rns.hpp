@@ -11,8 +11,8 @@
 //    with 64-bit Shoup arithmetic, the CRT overflow count taken from a
 //    double estimate, and a per-coefficient fallback to the oracle when
 //    that estimate lies near a decision boundary.  rns_base_convert is its
-//    unsigned entry point; Bfv's centered extension, t/q scaling, relin
-//    digit split and decryption rounding are built from its steps.
+//    unsigned entry point; RnsTool builds BFV's centered extension, t/Q
+//    scaling, decryption rounding and relin digit split on it.
 //  * RnsBasis::reconstruct / reconstruct_centered and rns_reconstruct are
 //    the declared WideInt oracle: a plain multi-limb CRT sum.  In src/ they
 //    run only as the engine's fallback and in Bfv::noise_budget_bits; the
@@ -103,17 +103,21 @@ struct RnsPoly {
 /// from that estimate.  The steps after it are exact integer arithmetic on
 /// 64-bit words: a residue in to-tower j is sum_i s_i (F_i mod p_j) -
 /// v (F mod p_j) (Shoup products again), and limbs() writes x itself as
-/// 64-bit limbs.  The estimate is off by less
-/// than (k^2 + 4k) 2^-53 for k source towers, far below kGuard; whenever it
-/// lies within kGuard of the boundary its decision depends on, lift()
-/// returns false and the caller takes that one coefficient through the
-/// WideInt oracle (RnsBasis::reconstruct).  So every result is the oracle's,
-/// bit for bit (tests/bfv/test_rns_conversions.cpp holds that contract).
+/// 64-bit limbs.  The estimate is off by less than (k^2 + 4k) 2^-53 for k
+/// source towers, far below kGuard; whenever it lies within kGuard of the
+/// boundary its decision depends on, lift() returns false and that one
+/// coefficient goes through the WideInt oracle (RnsBasis::reconstruct).  So
+/// every result is the oracle's, bit for bit (tests/bfv/test_rns_conversions.cpp
+/// holds that contract).
 ///
 /// With a plaintext modulus t, round_scaled() also gives round(t * sigma)
 /// exactly, the t/F rounding BFV decryption and scaling need: it splits
 /// t s_i = I_i f_i + u_i with one Shoup product, sums the integers I_i
 /// exactly and the fractions u_i / f_i in double, under the same guard.
+///
+/// The whole-polynomial sweeps are convert() and RnsTool's operations; the
+/// per-coefficient steps stay private to this module, except the two
+/// decisions lift() and round_scaled() that tests query directly.
 class RnsConverter {
  public:
   /// Which integer the residues stand for.
@@ -126,8 +130,7 @@ class RnsConverter {
   /// which the double estimate is not trusted.
   static constexpr double kGuard = 0x1p-40;
 
-  /// Conversion from `from` into `to` (`to` may be empty when only the
-  /// per-coefficient steps are used).  A nonzero `t` also prepares
+  /// Conversion from `from` into `to`.  A nonzero `t` also prepares
   /// round_scaled(); it must be below every `from` modulus, or round_scaled
   /// always defers to the oracle.
   RnsConverter(const RnsBasis& from, const RnsBasis& to, u64 t = 0);
@@ -137,35 +140,10 @@ class RnsConverter {
   [[nodiscard]] RnsPoly convert(const RnsPoly& p, Lift mode,
                                 const backend::Executor& exec) const;
 
-  /// CRT terms s[0..|from|) of one coefficient (any u64 residues x);
-  /// returns the estimate of sigma.
-  double terms(const u64* x, u64* s) const noexcept {
-    double est = 0;
-    for (std::size_t i = 0; i < s_mul_.size(); ++i) {
-      s[i] = s_mul_[i].mul(x[i]);
-      est += static_cast<double>(s[i]) * inv_f_[i];
-    }
-    return est;
-  }
-
   /// The CRT terms and overflow count v of one coefficient, or false when
   /// the estimate is too close to call and the caller must use the oracle.
   bool lift(const u64* x, u64* s, Lift mode, u64& v) const noexcept {
     return overflow(terms(x, s), mode, v);
-  }
-
-  /// (sum_i s_i F_i - v F) mod p_j for to-tower j; v <= |from|.
-  [[nodiscard]] u64 residue(const u64* s, u64 v, std::size_t j) const noexcept {
-    const std::size_t k = s_mul_.size();
-    const u64 p = to_.towers()[j].modulus();
-    const nt::ShoupMul* c = &hat_mod_[j * k];
-    u64 acc = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      acc += c[i].mul(s[i]);
-      acc = acc >= p ? acc - p : acc;
-    }
-    const u64 vf = v_f_mod_[j * (k + 1) + v];
-    return acc >= vf ? acc - vf : acc + p - vf;
   }
 
   /// round(t * sum_i s_i / f_i) into r.  False when the fractional sum is
@@ -189,19 +167,45 @@ class RnsConverter {
     return true;
   }
 
-  /// Number of 64-bit limbs limbs() writes: enough for sum_i s_i F_i.
-  [[nodiscard]] std::size_t limb_count() const noexcept { return limbs_; }
+ private:
+  friend class RnsTool;
 
-  /// x = sum_i s_i F_i - v F as limb_count() little-endian limbs (two's
-  /// complement when a centered v makes it negative).
+  /// CRT terms s[0..|from|) of one coefficient (any u64 residues x);
+  /// returns the estimate of sigma.
+  double terms(const u64* x, u64* s) const noexcept {
+    double est = 0;
+    for (std::size_t i = 0; i < s_mul_.size(); ++i) {
+      s[i] = s_mul_[i].mul(x[i]);
+      est += static_cast<double>(s[i]) * inv_f_[i];
+    }
+    return est;
+  }
+
+  /// (sum_i s_i F_i - v F) mod p_j for to-tower j; v <= |from|.
+  [[nodiscard]] u64 residue(const u64* s, u64 v, std::size_t j) const noexcept {
+    const std::size_t k = s_mul_.size();
+    const u64 p = to_.towers()[j].modulus();
+    const nt::ShoupMul* c = &hat_mod_[j * k];
+    u64 acc = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      acc += c[i].mul(s[i]);
+      acc = acc >= p ? acc - p : acc;
+    }
+    const u64 vf = v_f_mod_[j * (k + 1) + v];
+    return acc >= vf ? acc - vf : acc + p - vf;
+  }
+
+  /// x = sum_i s_i F_i - v F as limbs_ little-endian limbs, enough for
+  /// sum_i s_i F_i (two's complement when a centered v makes it negative).
   void limbs(const u64* s, u64 v, u64* out) const noexcept {
     const std::size_t k = s_mul_.size(), L = limbs_;
     for (std::size_t l = 0; l < L; ++l) out[l] = 0;
     for (std::size_t i = 0; i < k; ++i) {
       const u64* h = &hat_limbs_[i * L];
+      const u64 si = s[i];  // out may share s's buffer
       u64 carry = 0;
       for (std::size_t l = 0; l < L; ++l) {
-        const u128 cur = static_cast<u128>(h[l]) * s[i] + out[l] + carry;
+        const u128 cur = static_cast<u128>(h[l]) * si + out[l] + carry;
         out[l] = static_cast<u64>(cur);
         carry = static_cast<u64>(cur >> 64);
       }
@@ -215,7 +219,6 @@ class RnsConverter {
     }
   }
 
- private:
   /// The overflow count v for an estimate of sigma.  False when the
   /// estimate is too close to call.
   bool overflow(double est, Lift mode, u64& v) const noexcept {
@@ -255,6 +258,62 @@ class RnsConverter {
   std::vector<u64> v_f_mod_;           // [j * (k + 1) + v]: v F mod p_j
   std::vector<u64> hat_limbs_;         // [i * L + l]: limbs of F_i
   std::vector<u64> v_f_limbs_;         // [v * L + l]: limbs of v F
+};
+
+/// The exact conversions BFV runs on the host around the per-tower products
+/// (paper Section II-D), for a ciphertext basis Q, an auxiliary basis B and
+/// a plaintext modulus t.  Each operation sweeps the coefficients once: the
+/// RnsConverter engine per coefficient, that coefficient's WideInt oracle
+/// where the engine declines, so every result is the oracle's bit for bit.
+/// Each task of `exec` converts its own contiguous coefficient range.
+class RnsTool {
+ public:
+  RnsTool(const std::vector<u64>& q_moduli, const std::vector<u64>& aux_moduli,
+          u64 t);
+
+  [[nodiscard]] const RnsBasis& q_basis() const noexcept { return up_.from_; }
+  [[nodiscard]] const RnsBasis& aux_basis() const noexcept { return up_.to_; }
+  /// Q followed by B.
+  [[nodiscard]] const RnsBasis& ext_basis() const noexcept { return ext_; }
+
+  /// The centered lift of x over Q re-expressed over Q u B: the Q towers
+  /// keep their residues, the engine fills B.
+  [[nodiscard]] RnsPoly extend_centered(const RnsPoly& x,
+                                        const backend::Executor& exec) const;
+
+  /// round(t y / Q) mod Q for the centered lift y over Q u B.  With
+  /// y = Q y' + r, r the centered lift of y mod Q, that is
+  /// t y' + round(t sigma) - t v for r's CRT sum sigma and overflow count v;
+  /// y' = (y - r) / Q is known mod every B tower and lies in (-P/2, P/2), so
+  /// a second, centered B -> Q conversion recovers it.
+  [[nodiscard]] RnsPoly scale_round(const RnsPoly& y,
+                                    const backend::Executor& exec) const;
+
+  /// round(t x / Q) mod t for the centered lift x over Q (decryption).  That
+  /// is round(t sigma) - t round(sigma) for x's CRT sum sigma, so it is
+  /// round(t sigma) mod t and the centering drops out.
+  [[nodiscard]] Coeffs<u64> round_mod_t(const RnsPoly& x,
+                                        const backend::Executor& exec) const;
+
+  /// The first `count` base-2^w digits (w in [1, 32]) of x's unsigned lift
+  /// over Q, each reduced into every Q tower: relinearization's split.
+  [[nodiscard]] std::vector<RnsPoly> digits(const RnsPoly& x, unsigned w,
+                                            std::size_t count,
+                                            const backend::Executor& exec) const;
+
+  /// The engines behind the operations, for tests that query their
+  /// per-coefficient decisions: Q -> B prepared with t, and B -> Q.
+  [[nodiscard]] const RnsConverter& q_to_aux() const noexcept { return up_; }
+  [[nodiscard]] const RnsConverter& aux_to_q() const noexcept { return down_; }
+
+ private:
+  /// round(t |x| / Q) for the oracle's magnitude of x.
+  [[nodiscard]] BigInt round_t_over_q(const BigInt& mag) const;
+
+  RnsConverter up_, down_;
+  RnsBasis ext_;
+  std::vector<nt::ShoupMul> q_inv_aux_;  // Q^-1 mod B tower j
+  std::vector<nt::ShoupMul> t_mod_q_;    // t mod Q tower i
 };
 
 /// Decompose big-integer coefficients into an RNS polynomial.

@@ -662,14 +662,12 @@ void EvalService::host_finish(Session& s) {
     if (s.errs[r] != nullptr) s.slots[r] = RoundSlot{};
 
   exec_.for_each(count, [&](std::size_t r) {
-    if (s.errs[r] != nullptr) return;  // promise settled (or requeued) in retire()
+    if (s.errs[r] != nullptr) return;  // settled (or requeued) in retire()
     try {
       auto& slot = s.slots[r];
-      if (s.round[r].req.kind == RequestKind::kEvalMult) {
-        s.round[r].promise.set_value(ChipBfvEvaluator::assemble(scheme_, slot.tensors));
-      } else {
-        s.round[r].promise.set_value(ChipBfvEvaluator::assemble_relin(slot.relin_accs));
-      }
+      slot.result = s.round[r].req.kind == RequestKind::kEvalMult
+                        ? ChipBfvEvaluator::assemble(scheme_, slot.tensors)
+                        : ChipBfvEvaluator::assemble_relin(slot.relin_accs);
     } catch (...) {
       s.errs[r] = std::current_exception();
     }
@@ -680,6 +678,8 @@ void EvalService::host_finish(Session& s) {
 void EvalService::retire(Session& s) {
   const double now = seconds_since(start_);
   bool requeued = false;
+  std::vector<std::size_t> settle;  // round indices not requeued
+  settle.reserve(s.round.size());
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (std::size_t i = 0; i < s.round.size(); ++i) {
@@ -710,10 +710,8 @@ void EvalService::retire(Session& s) {
       // Settled either way: release the tenancy pending slot here, not at
       // requeue -- a requeued request still occupies its tenant's quota.
       if (tenancy_enabled_) tenancy_release_locked(p.so.tenant, now);
+      settle.push_back(i);
       if (s.errs[i] != nullptr) {
-        // Promise settlement was deferred past host_finish precisely so the
-        // requeue branch above could reclaim it; settle it now.
-        p.promise.set_exception(s.errs[i]);
         ++stats_.failed;
         ++cls.failed;
         ++ten.counts.failed;
@@ -737,6 +735,16 @@ void EvalService::retire(Session& s) {
     if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
   }
   if (requeued) work_cv_.notify_one();
+  // The one settlement site, after the books count each request (so a
+  // client whose get() returned reads stats() that include it) and outside
+  // mu_.  Settling was deferred past host_finish so the requeue branch above
+  // could reclaim a faulted request's promise.
+  for (std::size_t i : settle) {
+    if (s.errs[i] != nullptr)
+      s.round[i].promise.set_exception(s.errs[i]);
+    else
+      s.round[i].promise.set_value(std::move(s.slots[i].result));
+  }
 }
 
 std::vector<ChipScore> EvalService::chip_scores(

@@ -185,9 +185,9 @@ struct ServiceOptions {
   /// per-chip stage, simulated-axis spans for driver phases / link
   /// transactions / the pipeline model, and "heal" instants for retries,
   /// requeues, quarantines and probes.  Tracing never changes results or
-  /// scheduling; when the recorder is null (or COFHEE_TRACING=0) every call
-  /// site reduces to a pointer check (or nothing at all).  Export the trace
-  /// only after drain() or shutdown() -- the recorder requires quiescence.
+  /// scheduling; when the recorder is null every call site reduces to a
+  /// pointer check.  Export the trace only after drain() or shutdown() --
+  /// the recorder requires quiescence.
   obs::TraceRecorder* trace = nullptr;
   /// Optional metrics registry (obs/metrics.hpp, caller-owned): the service
   /// records per-class request-latency histograms
@@ -263,6 +263,7 @@ class EvalService {
     driver::RelinOperands relin;                 // kRelinearize / kMultRelin
     std::vector<driver::TowerTensor> tensors;    // tensor-stage outputs
     std::vector<driver::RelinTowerAcc> relin_accs;  // key-switch outputs
+    bfv::Ciphertext result;                      // assembled; settled in retire()
   };
 
   /// One dispatcher round flowing through the K-slot session ring.
@@ -311,9 +312,10 @@ class EvalService {
   /// Chip stage: tensor sessions, mult-relin mid-round host work, then
   /// key-switch sessions.  Fills s.sim_chip.
   void run_chip_stage(Session& s);
-  /// Host phase 2: reassembly / rounding, promise fulfillment.
+  /// Host phase 2: reassembly / rounding into each slot's result.
   void host_finish(Session& s);
-  /// Final stats + in-flight accounting for a finished session.
+  /// Final stats + in-flight accounting for a finished session, then the
+  /// one settlement of every promise it did not requeue.
   void retire(Session& s);
   /// Model + stats bookkeeping once a session's chip stage has completed
   /// (in ring order), then host_finish + retire.

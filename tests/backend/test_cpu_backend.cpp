@@ -48,8 +48,8 @@ TEST(CpuTensorKernel, MatchesSchoolbookTensor) {
   KernelFixture f;
   const auto a0 = f.random_rns(1), a1 = f.random_rns(2);
   const auto b0 = f.random_rns(3), b1 = f.random_rns(4);
-  ThreadPool pool(2);
-  const auto out = f.kernel.multiply(a0, a1, b0, b1, pool);
+  const CpuTensorKernel pooled(f.n, f.moduli, ExecPolicy::pooled(2));
+  const auto out = pooled.multiply(a0, a1, b0, b1);
   for (std::size_t tw = 0; tw < f.moduli.size(); ++tw) {
     nt::Barrett64 ring(f.moduli[tw]);
     EXPECT_EQ(out.y0.towers[tw],
@@ -63,39 +63,22 @@ TEST(CpuTensorKernel, MatchesSchoolbookTensor) {
   }
 }
 
-TEST(CpuTensorKernel, CarriedPolicyMatchesExplicitPool) {
-  // The ExecPolicy-carrying construction (serial and pooled) must produce
-  // the same tensor as the legacy explicit-pool overload.
-  KernelFixture f;
-  const auto a0 = f.random_rns(21), a1 = f.random_rns(22);
-  const auto b0 = f.random_rns(23), b1 = f.random_rns(24);
-  ThreadPool pool(4);
-  const auto expect = f.kernel.multiply(a0, a1, b0, b1, pool);
-  const CpuTensorKernel serial(f.n, f.moduli, ExecPolicy::serial());
-  const CpuTensorKernel pooled(f.n, f.moduli, ExecPolicy::pooled(4));
-  const auto rs = serial.multiply(a0, a1, b0, b1);
-  const auto rp = pooled.multiply(a0, a1, b0, b1);
-  EXPECT_EQ(rs.y0.towers, expect.y0.towers);
-  EXPECT_EQ(rs.y1.towers, expect.y1.towers);
-  EXPECT_EQ(rs.y2.towers, expect.y2.towers);
-  EXPECT_EQ(rp.y0.towers, expect.y0.towers);
-  EXPECT_EQ(rp.y1.towers, expect.y1.towers);
-  EXPECT_EQ(rp.y2.towers, expect.y2.towers);
-  EXPECT_EQ(serial.exec().concurrency(), 1u);
-  EXPECT_EQ(pooled.exec().concurrency(), 4u);
-}
-
 TEST(CpuTensorKernel, ThreadCountDoesNotChangeResult) {
+  // The fixture's serial kernel against pooled kernels of 1, 4 and 16
+  // threads: the policy changes which threads compute, never the tensor.
   KernelFixture f;
   const auto a0 = f.random_rns(5), a1 = f.random_rns(6);
   const auto b0 = f.random_rns(7), b1 = f.random_rns(8);
-  ThreadPool p1(1), p4(4), p16(16);
-  const auto r1 = f.kernel.multiply(a0, a1, b0, b1, p1);
-  const auto r4 = f.kernel.multiply(a0, a1, b0, b1, p4);
-  const auto r16 = f.kernel.multiply(a0, a1, b0, b1, p16);
-  EXPECT_EQ(r1.y0.towers, r4.y0.towers);
-  EXPECT_EQ(r4.y1.towers, r16.y1.towers);
-  EXPECT_EQ(r1.y2.towers, r16.y2.towers);
+  const auto expect = f.kernel.multiply(a0, a1, b0, b1);
+  EXPECT_EQ(f.kernel.exec().concurrency(), 1u);
+  for (std::size_t threads : {1u, 4u, 16u}) {
+    const CpuTensorKernel pooled(f.n, f.moduli, ExecPolicy::pooled(threads));
+    EXPECT_EQ(pooled.exec().concurrency(), threads);
+    const auto r = pooled.multiply(a0, a1, b0, b1);
+    EXPECT_EQ(r.y0.towers, expect.y0.towers) << threads << " threads";
+    EXPECT_EQ(r.y1.towers, expect.y1.towers) << threads << " threads";
+    EXPECT_EQ(r.y2.towers, expect.y2.towers) << threads << " threads";
+  }
 }
 
 TEST(CpuTensorKernel, ModmulCountScalesWithWorkload) {

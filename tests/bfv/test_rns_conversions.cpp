@@ -1,6 +1,6 @@
-// Seeded differential battery for the exact 64-bit RNS conversion engine
-// (poly::RnsConverter) behind Bfv's centered extension, t/Q scaling, relin
-// digit split and decryption rounding.  Each is compared bit for bit with
+// Seeded differential battery for the exact 64-bit RNS conversions
+// (poly::RnsTool on the poly::RnsConverter engine) behind Bfv's centered
+// extension, t/Q scaling, relin digit split and decryption rounding.  Each is compared bit for bit with
 // the declared WideInt oracle, written out below from RnsBasis::reconstruct
 // and WideInt arithmetic alone, at test_tiny, paper_small and paper_large.
 //
@@ -12,7 +12,9 @@
 // values do reach the engine's oracle fallback keeps the battery honest: a
 // build whose fallback is disabled fails it.  The relinearization dataflow
 // is also held against the per-product loop it replaced, and the pooled
-// executor (1, 2, 8 threads) against the serial one.
+// executor (1, 2, 8 threads) against the serial one.  The digit split runs
+// at widths 7, 16, 20, 30 and 32, so digits that straddle two 64-bit limbs
+// of the lift are covered.
 #include "bfv/bfv.hpp"
 
 #include <gtest/gtest.h>
@@ -283,16 +285,24 @@ TEST_P(RnsConversions, ExtendCenteredMatchesOracle) {
 TEST_P(RnsConversions, ScaleRoundMatchesOracle) {
   for (const auto& y : to_polys(ctx().ext_basis(), ctx().n(), ext_values(), 2))
     expect_rns_equal(scheme().scale_round_public(y), oracle_scale_round(ctx(), y),
-                     "scale_round_to_q");
+                     "scale_round");
 }
 
 TEST_P(RnsConversions, RelinDigitsMatchOracle) {
-  for (const auto& c2 : to_polys(ctx().q_basis(), ctx().n(), q_values(), 3)) {
-    const auto got = scheme().relin_digits_public(c2, s().rk);
-    const auto want = oracle_digits(ctx(), c2, s().rk);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t d = 0; d < got.size(); ++d) expect_rns_equal(got[d], want[d], "digit");
-  }
+  // The key set's 16-bit digits divide a 64-bit limb; widths 7, 20 and 30
+  // also split digits across two limbs of the lift, and 32 is the widest
+  // the keys allow.  Each width gets keys of its own.
+  Bfv keyer(params_for(GetParam()), /*seed=*/29);
+  const SecretKey sk = keyer.keygen_secret();
+  std::vector<RelinKeys> key_sets = {s().rk};
+  for (unsigned w : {7u, 16u, 20u, 30u, 32u}) key_sets.push_back(keyer.keygen_relin(sk, w));
+  for (const RelinKeys& rk : key_sets)
+    for (const auto& c2 : to_polys(ctx().q_basis(), ctx().n(), q_values(), 3)) {
+      const auto got = scheme().relin_digits_public(c2, rk);
+      const auto want = oracle_digits(ctx(), c2, rk);
+      ASSERT_EQ(got.size(), want.size()) << "width " << rk.digit_bits;
+      for (std::size_t d = 0; d < got.size(); ++d) expect_rns_equal(got[d], want[d], "digit");
+    }
 }
 
 TEST_P(RnsConversions, DecryptRoundingMatchesOracle) {
@@ -326,7 +336,7 @@ TEST_P(RnsConversions, BaseConvertMatchesOracle) {
 TEST_P(RnsConversions, PlantedValuesReachTheOracleFallback) {
   // Without this, a battery whose planted values all landed outside the
   // guard band would pass with the fallback disabled.
-  const auto& up = ctx().q_to_aux();
+  const auto& up = ctx().rns().q_to_aux();
   const auto& qb = ctx().q_basis();
   std::vector<u64> s(qb.size());
   std::size_t centered = 0, unsigned_floor = 0, rounding = 0;
@@ -341,7 +351,7 @@ TEST_P(RnsConversions, PlantedValuesReachTheOracleFallback) {
   EXPECT_GE(unsigned_floor, 2u);
   EXPECT_GE(rounding, 4u);
   // The scaling's second conversion declines at y' = +-(P - 1)/2.
-  const auto& down = ctx().aux_to_q();
+  const auto& down = ctx().rns().aux_to_q();
   const auto& ab = ctx().aux_basis();
   std::size_t quotient = 0;
   std::vector<u64> sb(ab.size());

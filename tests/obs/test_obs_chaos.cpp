@@ -56,10 +56,6 @@ void settle(std::vector<std::future<bfv::Ciphertext>>& futs) {
 /// Every trace-vs-stats identity that must hold for ANY fault schedule.
 void expect_trace_reconciles(const TraceRecorder& rec,
                              const service::ServiceStats& st) {
-  if (!TraceRecorder::enabled()) {
-    EXPECT_EQ(rec.event_count(), 0u);
-    return;
-  }
   // One instant per injected fault (kills counted once; dead-chip
   // rejections after the kill are not re-fired).
   EXPECT_EQ(rec.count_events("fault"), st.faults_injected);

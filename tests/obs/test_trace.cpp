@@ -1,8 +1,7 @@
 // obs::TraceRecorder battery: span/instant recording, simulated-axis
 // cursor semantics, deterministic sim timelines under seeded multi-thread
-// service traffic, JSON export shape, and the disabled-tracing
-// differential (tracing must never change results; with COFHEE_TRACING=0
-// the recorder must record nothing and export an empty trace).
+// service traffic, JSON export shape, and the tracing differential
+// (tracing must never change results).
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -32,10 +31,6 @@ TEST(TraceRecorder, WallSpansAndInstantsAreCounted) {
     auto inner = rec.span_wall("inner", "test");
     rec.instant_wall("tick", "test");
   }
-  if (!TraceRecorder::enabled()) {
-    EXPECT_EQ(rec.event_count(), 0u);
-    return;
-  }
   EXPECT_EQ(rec.event_count(), 3u);
   EXPECT_EQ(rec.count_events("test"), 3u);
   EXPECT_EQ(rec.count_events("test", "outer"), 1u);
@@ -51,10 +46,6 @@ TEST(TraceRecorder, SimCursorAppendsAndAggregates) {
   rec.span_sim(TraceRecorder::sim_track_chip_phase(1), "execute_tower", "phase",
                0.125);
   rec.span_sim(TraceRecorder::sim_track_chip_link(0), "link.write", "link", 2.0);
-  if (!TraceRecorder::enabled()) {
-    EXPECT_DOUBLE_EQ(rec.sim_category_seconds("phase"), 0.0);
-    return;
-  }
   EXPECT_DOUBLE_EQ(rec.sim_category_seconds("phase"), 0.875);
   EXPECT_DOUBLE_EQ(rec.sim_category_seconds("link"), 2.0);
   const auto breakdown = rec.sim_phase_breakdown("phase");
@@ -77,7 +68,6 @@ TEST(TraceRecorder, ConcurrentRecordingLosesNothing) {
       }
     });
   for (auto& th : ts) th.join();
-  if (!TraceRecorder::enabled()) return;
   EXPECT_EQ(rec.count_events("mt", "work"),
             static_cast<std::size_t>(kThreads) * kPerThread);
   EXPECT_EQ(rec.count_events("mt_sim", "tick"),
@@ -98,10 +88,6 @@ TEST(TraceRecorder, JsonExportShape) {
   const std::string j = os.str();
   EXPECT_EQ(j.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_EQ(j.find('\0'), std::string::npos);
-  if (!TraceRecorder::enabled()) {
-    EXPECT_EQ(j, "{\"traceEvents\":[]}\n");
-    return;
-  }
   EXPECT_NE(j.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(j.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(j.find("\"ph\":\"b\""), std::string::npos);
@@ -149,7 +135,6 @@ TEST(TraceRecorder, SimTimelineIsDeterministicAcrossRuns) {
   TraceRecorder a, b;
   (void)f.run(&a);
   (void)f.run(&b);
-  if (!TraceRecorder::enabled()) return;
   // The simulated axis is a pure function of the workload: identical phase
   // breakdowns, identical category totals, identical span counts -- even
   // though wall-clock interleaving differs between runs.
@@ -171,7 +156,6 @@ TEST(TraceRecorder, SpanTaxonomyShowsUpUnderTraffic) {
   TrafficFixture f;
   TraceRecorder rec;
   (void)f.run(&rec);
-  if (!TraceRecorder::enabled()) return;
   // One async begin/end pair per request.
   EXPECT_EQ(rec.count_events("request"), 2 * f.requests.size());
   // Every round records prepare, chip stage, finish and placement spans.
@@ -203,12 +187,8 @@ TEST(TraceRecorder, TracingNeverChangesResults) {
       EXPECT_EQ(traced[i].c[c].towers, bare[i].c[c].towers)
           << "request " << i << " component " << c;
   }
-  // With tracing compiled out the recorder must have stayed empty; with it
-  // compiled in, the traced run must actually have recorded something.
-  if (TraceRecorder::enabled())
-    EXPECT_GT(rec.event_count(), 0u);
-  else
-    EXPECT_EQ(rec.event_count(), 0u);
+  // The traced run must actually have recorded something.
+  EXPECT_GT(rec.event_count(), 0u);
 }
 
 }  // namespace
